@@ -9,8 +9,9 @@ from .workload import (Application, Task, TaskEdge, WorkloadConfig,
 from .ordering import (ProcessQueue, Weights, critical_value,
                        mean_critical_value, normalize_makespan,
                        normalize_priority, normalize_resource, order_tasks)
-from .placement import (Placement, ResourceMatrix, herafc_place,
-                        map_level_edges, reset_rm, try_deploy)
+from .placement import (Envelope, LevelLog, Placement, ResourceMatrix,
+                        herafc_place, map_level_edges, place_levels, reset_rm,
+                        try_deploy)
 from .objective import (ObjectiveBreakdown, ServerAssignment, SingleFogModel,
                         check_constraints, eval_mfc, eval_single_fog,
                         kappa_floor)

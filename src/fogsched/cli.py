@@ -84,7 +84,6 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
         "weights": dict(cfg.weights.__dict__),
         "delta": cfg.delta,
         "big_delta": cfg.big_delta,
-        "kappa": cfg.kappa,
         "fluctuation": ({"interval_s": cfg.fluctuation.interval_s,
                          "availability_range": list(cfg.fluctuation.availability_range)}
                         if cfg.fluctuation else None),
@@ -195,7 +194,7 @@ def _build_run_config(args) -> ExperimentConfig:
                                         availability_range=(lo, hi))
     return ExperimentConfig(
         env=env, workload=workload, algorithm=args.algo, weights=weights,
-        delta=args.delta, big_delta=args.big_delta, kappa=args.kappa,
+        delta=args.delta, big_delta=args.big_delta,
         fluctuation=fluctuation, seed=args.seed, replications=args.replications,
         admission_interval_ms=args.admission_interval,
         emit_objective=args.emit_objective)
@@ -397,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="out-degree smoothing constant")
     run.add_argument("--big-delta", type=float, default=0.5,
                      help="fog-preference constant in (0,1)")
-    run.add_argument("--kappa", type=float, default=None,
-                     help="cross-tier latency constant (ms)")
     run.add_argument("--fluctuate-interval", type=float, default=None,
                      help="availability fluctuation interval (simulated s)")
     run.add_argument("--fluctuate-range", default=None,

@@ -4,10 +4,16 @@ Levels are consumed root-first (LIFO over the level queue), tasks within a
 level in descending mean-critical-value order. Each task is first-fit against
 the locations hosting its already-placed children (falling back to the app's
 home fog node when none are placed yet), then the 1-hop fog set, the 2-hop
-fog set, and finally the cloud. Task edges adjacent to the level are mapped on latency-shortest
-bandwidth-feasible paths. After each level the resource matrix is reset to the
-admission snapshot: consecutive levels run sequentially, never concurrently,
-so they may reuse the same capacity.
+fog set, and finally the cloud. Task edges adjacent to the level are mapped
+on latency-shortest bandwidth-feasible paths.
+
+Each level debits the live resource matrix and records a level log: the
+amount debited per node and link, and the exact held value each key's first
+debit overwrote. Consecutive levels run sequentially, never concurrently, so
+they may reuse the same capacity: after a level its log is undone by putting
+those held values back, and the next level starts from the admission state.
+The placement's envelope, the per-key maximum of the level amounts, is what
+the app holds until it completes.
 """
 
 from __future__ import annotations
@@ -38,6 +44,37 @@ class _BwView:
         if eff is None:
             return default
         return eff - self._rm.held_bw[key]
+
+
+@dataclass
+class Envelope:
+    """Amounts per node (cpu, mem) and per link (bw)."""
+
+    cpu: dict[NodeId, float] = field(default_factory=dict)
+    mem: dict[NodeId, float] = field(default_factory=dict)
+    bw: dict[tuple[NodeId, NodeId], float] = field(default_factory=dict)
+
+    def raise_to(self, level: "Envelope") -> None:
+        """Raise each amount to the level's. New keys go last, so the key
+        order is the first-seen order across levels."""
+        for mine, theirs in ((self.cpu, level.cpu), (self.mem, level.mem),
+                             (self.bw, level.bw)):
+            for key, amt in theirs.items():
+                mine[key] = max(mine.get(key, 0.0), amt)
+
+
+@dataclass
+class LevelLog(Envelope):
+    """One level's debits on a live matrix, and what undoes them.
+
+    The amounts are summed from 0.0 in debit order. `prior_*` keeps the exact
+    held value that each key's first debit overwrote: undo puts it back
+    rather than subtracting, because x + a - a != x in floating point.
+    """
+
+    prior_cpu: dict[NodeId, float] = field(default_factory=dict)
+    prior_mem: dict[NodeId, float] = field(default_factory=dict)
+    prior_bw: dict[tuple[NodeId, NodeId], float] = field(default_factory=dict)
 
 
 @dataclass
@@ -93,42 +130,48 @@ class ResourceMatrix:
         return (self.residual_cpu(node) >= task.cpu_demand
                 and self.residual_mem(node) >= task.mem_demand)
 
-    def debit_task(self, task: Task, node: NodeId) -> None:
+    def debit_task(self, task: Task, node: NodeId, log: LevelLog) -> None:
         if not self.fits(task, node):
             raise PlacementError(
                 f"debit would overdraw {node}: task {task.id} demands "
                 f"({task.cpu_demand}, {task.mem_demand})")
+        if node not in log.prior_cpu:
+            log.prior_cpu[node] = self.held_cpu[node]
+            log.prior_mem[node] = self.held_mem[node]
         self.held_cpu[node] += task.cpu_demand
         self.held_mem[node] += task.mem_demand
+        log.cpu[node] = log.cpu.get(node, 0.0) + task.cpu_demand
+        log.mem[node] = log.mem.get(node, 0.0) + task.mem_demand
 
-    def debit_node(self, node: NodeId, cpu: float, mem: float) -> None:
-        if (self.residual_cpu(node) < cpu - 1e-9
-                or self.residual_mem(node) < mem - 1e-9):
-            raise PlacementError(f"debit would overdraw {node}")
-        self.held_cpu[node] += cpu
-        self.held_mem[node] += mem
-
-    def credit_node(self, node: NodeId, cpu: float, mem: float) -> None:
-        self.held_cpu[node] = max(0.0, self.held_cpu[node] - cpu)
-        self.held_mem[node] = max(0.0, self.held_mem[node] - mem)
-
-    def debit_link(self, key, amount: float) -> None:
+    def debit_link(self, key, amount: float, log: LevelLog) -> None:
         if self.residual_bw(key) < amount - 1e-9:
             raise PlacementError(f"bandwidth debit would overdraw link {key}")
+        if key not in log.prior_bw:
+            log.prior_bw[key] = self.held_bw[key]
         self.held_bw[key] += amount
+        log.bw[key] = log.bw.get(key, 0.0) + amount
 
-    def credit_link(self, key, amount: float) -> None:
-        self.held_bw[key] = max(0.0, self.held_bw[key] - amount)
+    def _by_kind(self, envelope: Envelope):
+        return ((self.held_cpu, self.effective_cpu, envelope.cpu),
+                (self.held_mem, self.effective_mem, envelope.mem),
+                (self.held_bw, self.effective_bw, envelope.bw))
 
-    def snapshot(self) -> dict:
-        return {
-            "effective_cpu": dict(self.effective_cpu),
-            "effective_mem": dict(self.effective_mem),
-            "effective_bw": dict(self.effective_bw),
-            "held_cpu": dict(self.held_cpu),
-            "held_mem": dict(self.held_mem),
-            "held_bw": dict(self.held_bw),
-        }
+    def hold(self, envelope: Envelope) -> None:
+        """Add an app's envelope to the held amounts; refuse any overdraw."""
+        for held, effective, amounts in self._by_kind(envelope):
+            for key, amt in amounts.items():
+                if effective[key] - held[key] < amt - 1e-9:
+                    raise PlacementError(f"hold would overdraw {key}")
+                held[key] += amt
+
+    def release(self, envelope: Envelope) -> None:
+        for held, _, amounts in self._by_kind(envelope):
+            for key, amt in amounts.items():
+                held[key] = max(0.0, held[key] - amt)
+
+    def snapshot(self) -> LevelLog:
+        """An empty level log: debits recorded in it are undone by reset_rm."""
+        return LevelLog()
 
     def clone(self) -> "ResourceMatrix":
         return ResourceMatrix(
@@ -144,22 +187,11 @@ class ResourceMatrix:
         )
 
 
-def reset_rm(rm: ResourceMatrix, snapshot: dict) -> ResourceMatrix:
-    """Restore residuals exactly to an admission-time snapshot."""
-    rm.effective_cpu = dict(snapshot["effective_cpu"])
-    rm.effective_mem = dict(snapshot["effective_mem"])
-    rm.effective_bw = dict(snapshot["effective_bw"])
-    rm.held_cpu = dict(snapshot["held_cpu"])
-    rm.held_mem = dict(snapshot["held_mem"])
-    rm.held_bw = dict(snapshot["held_bw"])
-    return rm
-
-
-@dataclass
-class LevelDebit:
-    cpu: dict[NodeId, float] = field(default_factory=dict)
-    mem: dict[NodeId, float] = field(default_factory=dict)
-    bw: dict[tuple[NodeId, NodeId], float] = field(default_factory=dict)
+def reset_rm(rm: ResourceMatrix, log: LevelLog) -> None:
+    """Undo a level log: put back every held value its debits overwrote."""
+    rm.held_cpu.update(log.prior_cpu)
+    rm.held_mem.update(log.prior_mem)
+    rm.held_bw.update(log.prior_bw)
 
 
 @dataclass
@@ -173,7 +205,7 @@ class Placement:
     rejected: list = field(default_factory=list)
     violations: list = field(default_factory=list)
     level_order: list[list[str]] = field(default_factory=list)
-    level_debits: list[LevelDebit] = field(default_factory=list)
+    envelope: Envelope = field(default_factory=Envelope)
     level_durations: list[float] = field(default_factory=list)
     pinned_task: str | None = None
     home_pin_infeasible: bool = False
@@ -202,10 +234,7 @@ def try_deploy(task: Task, candidates, rm: ResourceMatrix):
 
 
 def _hop_set(graph: ResourceGraph, origins: frozenset, h: int) -> list[NodeId]:
-    cache = getattr(graph, "_hopset_cache", None)
-    if cache is None:
-        cache = {}
-        graph._hopset_cache = cache
+    cache = graph._hopset_cache
     key = (origins, h)
     hit = cache.get(key)
     if hit is None:
@@ -228,16 +257,16 @@ def _candidate_stages(graph: ResourceGraph, origins: list[NodeId]):
 
 
 def map_level_edges(level_tasks, app: Application, placement: Placement,
-                    graph: ResourceGraph, rm: ResourceMatrix) -> LevelDebit:
+                    graph: ResourceGraph, rm: ResourceMatrix,
+                    log: LevelLog) -> None:
     """Map edges adjacent to a level, descending by bandwidth demand.
 
     Edges whose other endpoint is not located yet are skipped here and mapped
     once that endpoint's level is processed; edges with a rejected endpoint
-    are recorded as ignored.
+    are recorded as ignored. Bandwidth is debited from `rm` into `log`.
     """
     level_set = set(level_tasks)
     rejected = {t for t, _ in placement.rejected}
-    debit = LevelDebit()
     adjacent = [e for e in app.edges
                 if (e.src in level_set or e.dst in level_set)
                 and e.key not in placement.edge_paths
@@ -263,77 +292,90 @@ def map_level_edges(level_tasks, app: Application, placement: Placement,
                 f"no path with residual bandwidth >= {edge.bandwidth_demand:.3f}")
             continue
         for key in path.links:
-            rm.debit_link(key, edge.bandwidth_demand)
-            debit.bw[key] = debit.bw.get(key, 0.0) + edge.bandwidth_demand
+            rm.debit_link(key, edge.bandwidth_demand, log)
         placement.edge_paths[edge.key] = path
         if path.total_latency > edge.max_latency:
             placement.violations.append(
                 ("edge-latency", f"{edge.src}->{edge.dst}",
                  f"path latency {path.total_latency:.3f} ms exceeds "
                  f"demand {edge.max_latency:.3f} ms"))
-    return debit
+
+
+def _child_stages(app: Application, graph: ResourceGraph,
+                  placement: Placement, tid: str):
+    """Candidate stages around a task's placed children (else the home FN)."""
+    child_locs = sorted({placement.task_locations[c] for c in app.children[tid]
+                         if c in placement.task_locations})
+    return _candidate_stages(graph, child_locs if child_locs else [app.home_fn])
 
 
 def _place_once(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
-                queue: ProcessQueue, pinned: str | None) -> Placement:
+                levels, pinned: str | None, stages) -> Placement:
     placement = Placement(app_id=app.id, home_fn=app.home_fn, pinned_task=pinned)
-    snapshot = rm.snapshot()
-    work = rm.clone()
-    for level in reversed(queue.levels):
-        reset_rm(work, snapshot)
-        ordered = sorted(level, key=lambda t: (-queue.mcv[t], t))
+    for level in levels:
+        ordered = list(level)
         if pinned in level:
             ordered.remove(pinned)
             ordered.insert(0, pinned)
-        debit = LevelDebit()
+        log = rm.snapshot()
         for tid in ordered:
             task = app.task_by_id[tid]
             node = None
-            if tid == pinned and work.fits(task, app.home_fn):
+            if tid == pinned and rm.fits(task, app.home_fn):
                 node = app.home_fn
             if node is None:
-                child_locs = sorted({placement.task_locations[c]
-                                     for c in app.children[tid]
-                                     if c in placement.task_locations})
-                origins = child_locs if child_locs else [app.home_fn]
-                for stage in _candidate_stages(graph, origins):
-                    node = try_deploy(task, stage, work)
+                for stage in (stages if stages is not None
+                              else _child_stages(app, graph, placement, tid)):
+                    node = try_deploy(task, stage, rm)
                     if node is not None:
                         break
             if node is None:
                 placement.rejected.append(
-                    (tid, "no location within 2 hops or cloud has capacity"))
+                    (tid, "no candidate location has capacity"))
                 continue
-            work.debit_task(task, node)
-            debit.cpu[node] = debit.cpu.get(node, 0.0) + task.cpu_demand
-            debit.mem[node] = debit.mem.get(node, 0.0) + task.mem_demand
+            rm.debit_task(task, node, log)
             placement.task_locations[tid] = node
-        edge_debit = map_level_edges(level, app, placement, graph, work)
-        debit.bw = edge_debit.bw
-        placement.level_order.append(list(ordered))
-        placement.level_debits.append(debit)
+        map_level_edges(level, app, placement, graph, rm, log)
+        reset_rm(rm, log)
+        placement.envelope.raise_to(log)
+        placement.level_order.append(ordered)
         placement.level_durations.append(
             max((app.task_by_id[t].makespan for t in level), default=0.0))
     return placement
 
 
-def herafc_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
-                 queue: ProcessQueue) -> Placement:
-    """Place one application; the passed resource matrix is not mutated.
+def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
+                 levels, pin_rank, stages=None) -> Placement:
+    """The placement loop every algorithm shares, with the home-pin rule.
+
+    Levels are placed in the given order, the tasks of each in the given
+    order. Each level is placed on the live `rm` and undone before the next,
+    so `rm` ends exactly as it was passed. `stages` fixes every task's
+    candidate stages; by default they are `_candidate_stages` around the
+    task's placed children.
 
     Guarantees at least one task on the app's home fog node whenever any task
-    could fit there (re-running with the highest-critical-value fitting task
+    could fit there (re-running with the fitting task of highest `pin_rank`
     pinned); otherwise the placement is marked home_pin_infeasible.
     """
-    placement = _place_once(app, graph, rm, queue, pinned=None)
+    placement = _place_once(app, graph, rm, levels, None, stages)
     if app.home_fn in placement.task_locations.values():
         return placement
     fitting = [t for t in app.tasks if rm.fits(t, app.home_fn)]
     if not fitting:
         placement.home_pin_infeasible = True
         return placement
-    pinned = max(fitting, key=lambda t: (queue.wv[t.id], t.id)).id
-    second = _place_once(app, graph, rm, queue, pinned=pinned)
+    pinned = max(fitting, key=lambda t: (pin_rank[t.id], t.id)).id
+    second = _place_once(app, graph, rm, levels, pinned, stages)
     if app.home_fn not in second.task_locations.values():
         second.home_pin_infeasible = True
     return second
+
+
+def herafc_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
+                 queue: ProcessQueue) -> Placement:
+    """Place one application root level first, each level in descending
+    mean-critical-value order; the pin rule ranks tasks by weighted value."""
+    levels = [sorted(level, key=lambda t: (-queue.mcv[t], t))
+              for level in reversed(queue.levels)]
+    return place_levels(app, graph, rm, levels, queue.wv)

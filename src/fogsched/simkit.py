@@ -1,12 +1,12 @@
 """Experiment runner: FCFS batch placement on a live resource matrix.
 
 Applications are admitted in FCFS order at simulated times k * admission
-interval. Each app is placed against a snapshot of the live residual matrix;
-because an app's levels run sequentially, the app then holds its per-node
-peak over levels (the most any single level occupies) until its completion
-time, when the hold is released. Availability fluctuation rescales effective
-capacities at fixed simulated intervals, clamped so active holds are never
-revoked.
+interval. Each app is placed on the live residual matrix, which placement
+leaves exactly as it found it; because an app's levels run sequentially, the
+app then holds its envelope, the per-node peak over levels (the most any
+single level occupies), until its completion time, when the hold is
+released. Availability fluctuation rescales effective capacities at fixed
+simulated intervals, clamped so active holds are never revoked.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import time
 from dataclasses import dataclass, field
 
 from .ordering import DEFAULT_DELTA, ProcessQueue, Weights, order_tasks, task_levels
-from .placement import (LevelDebit, Placement, PlacementError, ResourceMatrix,
-                        herafc_place, map_level_edges)
+from .placement import (Envelope, Placement, ResourceMatrix, herafc_place,
+                        place_levels)
 from .objective import DEFAULT_BIG_DELTA, check_constraints, eval_mfc
 from .topology import CLOUD, FOG, FCI, EnvConfig, ResourceGraph, build_graph
 from .workload import Application, WorkloadConfig, generate_workload
@@ -53,7 +53,6 @@ class ExperimentConfig:
     weights: Weights = field(default_factory=Weights)
     delta: float = DEFAULT_DELTA
     big_delta: float = DEFAULT_BIG_DELTA
-    kappa: float | None = None
     fluctuation: FluctuationConfig | None = None
     seed: int = 42
     replications: int = 1
@@ -98,43 +97,18 @@ def baseline_order(app: Application, kind: str, seed) -> ProcessQueue:
 
 def baseline_cloud_first(app: Application, graph: ResourceGraph,
                          rm: ResourceMatrix) -> Placement:
-    """Naive baseline: home FN if the task fits there, otherwise the cloud."""
-    placement = Placement(app_id=app.id, home_fn=app.home_fn)
-    snapshot = rm.snapshot()
-    work = rm.clone()
-    debit = LevelDebit()
-    ordered = sorted(t.id for t in app.tasks)
-    for tid in ordered:
-        task = app.task_by_id[tid]
-        node = None
-        if work.fits(task, app.home_fn):
-            node = app.home_fn
-        elif work.fits(task, graph.cloud.id):
-            node = graph.cloud.id
-        if node is None:
-            placement.rejected.append((tid, "neither home FN nor cloud fits"))
-            continue
-        work.debit_task(task, node)
-        debit.cpu[node] = debit.cpu.get(node, 0.0) + task.cpu_demand
-        debit.mem[node] = debit.mem.get(node, 0.0) + task.mem_demand
-        placement.task_locations[tid] = node
-    edge_debit = map_level_edges(ordered, app, placement, graph, work)
-    debit.bw = edge_debit.bw
-    placement.level_order.append(ordered)
-    placement.level_debits.append(debit)
-    placement.level_durations.append(
-        max((t.makespan for t in app.tasks), default=0.0))
-    if app.home_fn not in placement.task_locations.values():
-        placement.home_pin_infeasible = not any(
-            rm.fits(t, app.home_fn) for t in app.tasks)
-    from .placement import reset_rm  # restore: the caller owns live accounting
-    reset_rm(work, snapshot)
-    return placement
+    """Naive baseline: home FN if the task fits there, otherwise the cloud.
+
+    The shared placement loop over one level in task-id order. Home is every
+    task's first stage, so a placement without it means no task fits there:
+    the pin rule then marks it home_pin_infeasible and never reads a pin rank.
+    """
+    return place_levels(app, graph, rm, [sorted(t.id for t in app.tasks)], {},
+                        stages=((app.home_fn,), (graph.cloud.id,)))
 
 
-def apply_fluctuation(rm: ResourceMatrix, sim_time: float,
-                      fluctuation: FluctuationConfig, rng: random.Random,
-                      graph: ResourceGraph | None = None,
+def apply_fluctuation(rm: ResourceMatrix, fluctuation: FluctuationConfig,
+                      rng: random.Random, graph: ResourceGraph | None = None,
                       env: EnvConfig | None = None) -> ResourceMatrix:
     """Rescale effective capacities by fresh availability multipliers.
 
@@ -221,63 +195,18 @@ def _avg_dicts(dicts: list[dict]) -> dict:
     return {k: sum(d[k] for d in dicts) / len(dicts) for k in keys}
 
 
-class _Ledger:
-    """Double-entry hold tracking used for the conservation check."""
-
-    def __init__(self) -> None:
-        self.active: dict[int, tuple] = {}
-        self.next_id = 0
-
-    def open(self, cpu: dict, mem: dict, bw: dict) -> int:
-        handle = self.next_id
-        self.next_id += 1
-        self.active[handle] = (cpu, mem, bw)
-        return handle
-
-    def close(self, handle: int) -> tuple:
-        return self.active.pop(handle)
-
-    def totals(self) -> tuple[dict, dict, dict]:
-        cpu: dict = {}
-        mem: dict = {}
-        bw: dict = {}
-        for c, m, b in self.active.values():
-            for node, amt in c.items():
-                cpu[node] = cpu.get(node, 0.0) + amt
-            for node, amt in m.items():
-                mem[node] = mem.get(node, 0.0) + amt
-            for key, amt in b.items():
-                bw[key] = bw.get(key, 0.0) + amt
-        return cpu, mem, bw
-
-
-def _envelope(placement: Placement) -> tuple[dict, dict, dict]:
-    """Per-node/link peak over the app's levels (levels run one at a time)."""
-    cpu: dict = {}
-    mem: dict = {}
-    bw: dict = {}
-    for debit in placement.level_debits:
-        for node, amt in debit.cpu.items():
-            cpu[node] = max(cpu.get(node, 0.0), amt)
-        for node, amt in debit.mem.items():
-            mem[node] = max(mem.get(node, 0.0), amt)
-        for key, amt in debit.bw.items():
-            bw[key] = max(bw.get(key, 0.0), amt)
-    return cpu, mem, bw
-
-
-def _check_conservation(rm: ResourceMatrix, ledger: _Ledger) -> None:
-    cpu, mem, bw = ledger.totals()
-    for node, held in rm.held_cpu.items():
-        if abs(held - cpu.get(node, 0.0)) > 1e-6:
-            raise SimError(f"conservation violated on {node} cpu: "
-                           f"held {held} vs ledger {cpu.get(node, 0.0)}")
-    for node, held in rm.held_mem.items():
-        if abs(held - mem.get(node, 0.0)) > 1e-6:
-            raise SimError(f"conservation violated on {node} mem")
-    for key, held in rm.held_bw.items():
-        if abs(held - bw.get(key, 0.0)) > 1e-6:
-            raise SimError(f"conservation violated on link {key}")
+def _check_conservation(rm: ResourceMatrix, envelopes) -> None:
+    """Every held amount must equal the sum of the active envelopes."""
+    for kind in ("cpu", "mem", "bw"):
+        total: dict = {}
+        for envelope in envelopes:
+            for key, amt in getattr(envelope, kind).items():
+                total[key] = total.get(key, 0.0) + amt
+        for key, held in getattr(rm, f"held_{kind}").items():
+            if abs(held - total.get(key, 0.0)) > 1e-6:
+                raise SimError(f"conservation violated on {key} {kind}: held "
+                               f"{held} vs active envelopes "
+                               f"{total.get(key, 0.0)}")
 
 
 def run_replication(cfg: ExperimentConfig, seed: int,
@@ -285,11 +214,12 @@ def run_replication(cfg: ExperimentConfig, seed: int,
     graph = build_graph(cfg.env, seed)
     apps = generate_workload(cfg.workload, graph, f"{seed}:workload")
     live = ResourceMatrix.from_graph(graph)
-    ledger = _Ledger()
+    # Conservation audit: the envelope of every app still holding resources.
+    active: dict[int, Envelope] = {}
     fluct_rng = random.Random(f"{seed}:fluctuation")
     order_rng_seed = f"{seed}:order"
 
-    releases: list[tuple[float, int, int]] = []
+    releases: list[tuple[float, int]] = []
     release_counter = 0
     sim_time = 0.0
     next_boundary = (cfg.fluctuation.interval_s * 1000.0
@@ -322,14 +252,14 @@ def run_replication(cfg: ExperimentConfig, seed: int,
                 area[k] += held[k] * dt
             last_time = to
 
-    def apply_hold(cpu, mem, bw, sign: float) -> None:
-        for node, amt in cpu.items():
+    def apply_hold(envelope: Envelope, sign: float) -> None:
+        for node, amt in envelope.cpu.items():
             bucket = "cloud_cpu" if node.tier == CLOUD else "fog_cpu"
             held[bucket] += sign * amt
-        for node, amt in mem.items():
+        for node, amt in envelope.mem.items():
             bucket = "cloud_mem" if node.tier == CLOUD else "fog_mem"
             held[bucket] += sign * amt
-        for key, amt in bw.items():
+        for key, amt in envelope.bw.items():
             bucket = "cloud_bw" if (key[0].tier == CLOUD
                                     or key[1].tier == CLOUD) else "fog_bw"
             held[bucket] += sign * amt
@@ -346,21 +276,16 @@ def run_replication(cfg: ExperimentConfig, seed: int,
             if nxt > until:
                 break
             if release_time <= boundary:
-                t, _, handle = heapq.heappop(releases)
-                cpu, mem, bw = ledger.close(handle)
-                for node, amt in cpu.items():
-                    live.credit_node(node, amt, 0.0)
-                for node, amt in mem.items():
-                    live.credit_node(node, 0.0, amt)
-                for key, amt in bw.items():
-                    live.credit_link(key, amt)
+                t, handle = heapq.heappop(releases)
+                envelope = active.pop(handle)
+                live.release(envelope)
                 elapse(t)
-                apply_hold(cpu, mem, bw, -1.0)
+                apply_hold(envelope, -1.0)
                 sim_time = t
             else:
                 elapse(boundary)
                 sim_time = boundary
-                apply_fluctuation(live, sim_time, cfg.fluctuation, fluct_rng,
+                apply_fluctuation(live, cfg.fluctuation, fluct_rng,
                                   graph=graph, env=cfg.env)
                 next_boundary += cfg.fluctuation.interval_s * 1000.0
         if until > sim_time:
@@ -414,19 +339,12 @@ def run_replication(cfg: ExperimentConfig, seed: int,
             objective_totals["total"] += breakdown.total
             objective_totals["apps_scored"] += 1
 
-        cpu, mem, bw = _envelope(placement)
-        for node, amt in cpu.items():
-            live.debit_node(node, amt, mem.get(node, 0.0))
-        for node, amt in mem.items():
-            if node not in cpu:
-                live.debit_node(node, 0.0, amt)
-        for key, amt in bw.items():
-            live.debit_link(key, amt)
-        handle = ledger.open(cpu, mem, bw)
-        apply_hold(cpu, mem, bw, 1.0)
-        completion = sim_time + sum(placement.level_durations)
+        live.hold(placement.envelope)
         release_counter += 1
-        heapq.heappush(releases, (completion, release_counter, handle))
+        active[release_counter] = placement.envelope
+        apply_hold(placement.envelope, 1.0)
+        completion = sim_time + sum(placement.level_durations)
+        heapq.heappush(releases, (completion, release_counter))
 
         for task in app.tasks:
             node = placement.task_locations.get(task.id)
@@ -446,11 +364,11 @@ def run_replication(cfg: ExperimentConfig, seed: int,
                     sum(outgoing))
 
         if (k + 1) % conservation_check_every == 0:
-            _check_conservation(live, ledger)
+            _check_conservation(live, active.values())
 
     while releases:
         advance(releases[0][0])
-    _check_conservation(live, ledger)
+    _check_conservation(live, active.values())
     for node, amount in live.held_cpu.items():
         if abs(amount) > 1e-6:
             raise SimError(f"hold not fully released on {node}")
@@ -535,7 +453,7 @@ def time_algorithms(cfg: ExperimentConfig,
                                            cfg.workload.max_total_tasks,
                                            count * cfg.workload.tasks_per_app[1])}),
             algorithm=cfg.algorithm, weights=cfg.weights, delta=cfg.delta,
-            big_delta=cfg.big_delta, kappa=cfg.kappa, seed=cfg.seed,
+            big_delta=cfg.big_delta, seed=cfg.seed,
             admission_interval_ms=cfg.admission_interval_ms)
         report = run_replication(sweep_cfg, cfg.seed)
         records.append({"app_count": count, **report.timings})

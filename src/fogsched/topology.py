@@ -211,6 +211,7 @@ class ResourceGraph:
                 self.fn_cloud_linked.add(fn)
         self._fci_dist_cache: dict[NodeId, dict[NodeId, int]] = {}
         self._cloud_fci_dist: dict[NodeId, int] | None = None
+        self._hopset_cache: dict[tuple[frozenset, int], list[NodeId]] = {}
 
     def node_ids(self) -> list[NodeId]:
         return [fn.id for fn in self.fns] + list(self.fcis) + [self.cloud.id]

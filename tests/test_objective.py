@@ -9,7 +9,8 @@ from fogsched.objective import (EvaluationError, ObjectiveBreakdown,
                                 check_constraints, eval_mfc, eval_single_fog,
                                 kappa_floor)
 from fogsched.ordering import order_tasks
-from fogsched.placement import Placement, ResourceMatrix, herafc_place
+from fogsched.placement import (Envelope, Placement, ResourceMatrix,
+                                herafc_place)
 from fogsched.topology import PhysicalPath
 
 from conftest import CLOUD_ID, fn, make_app, make_edge, make_graph, make_task
@@ -85,7 +86,7 @@ class TestEvalMfc:
     def residuals(self, graph, cpu):
         rm = ResourceMatrix.from_graph(graph)
         for node, value in cpu.items():
-            rm.debit_node(node, rm.residual_cpu(node) - value, 0.0)
+            rm.hold(Envelope(cpu={node: rm.residual_cpu(node) - value}))
         return rm
 
     def test_home_vs_remote_task_terms(self, two_cluster_graph):

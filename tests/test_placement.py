@@ -1,6 +1,7 @@
 """Placement: multi-hop location search, edge mapping, level accounting."""
 
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 from fogsched.objective import check_constraints
 from fogsched.ordering import order_tasks
-from fogsched.placement import (Placement, ResourceMatrix, herafc_place,
-                                map_level_edges, reset_rm, try_deploy)
+from fogsched.placement import (Envelope, Placement, ResourceMatrix,
+                                herafc_place, map_level_edges, reset_rm,
+                                try_deploy)
+from fogsched.simkit import (FluctuationConfig, apply_fluctuation,
+                             baseline_cloud_first)
 from fogsched.topology import CLOUD, EnvConfig, build_graph
 from fogsched.workload import WorkloadConfig, generate_workload
 
@@ -59,13 +63,13 @@ class TestSingleTaskRouting:
 class TestTryDeploy:
     def test_first_fit_skips_small_residuals(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
-        rm.debit_node(fn(1), 7.0, 0.0)  # leaves (1, 800)
+        rm.hold(Envelope(cpu={fn(1): 7.0}))  # leaves (1, 800)
         task = make_task("a", cpu=2, mem=300)
         assert try_deploy(task, [fn(1), fn(2)], rm) == fn(2)
 
     def test_fit_requires_cpu_and_mem(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
-        rm.debit_node(fn(1), 0.0, 700.0)  # leaves (8, 100)
+        rm.hold(Envelope(mem={fn(1): 700.0}))  # leaves (8, 100)
         task = make_task("a", cpu=2, mem=300)
         assert try_deploy(task, [fn(1)], rm) is None
 
@@ -88,7 +92,8 @@ class TestMapLevelEdges:
         before = dict(rm.held_bw)
         app, placement = self.app_on(two_cluster_graph,
                                      {"a": fn(0), "b": fn(0)})
-        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm)
+        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm,
+                        rm.snapshot())
         path = placement.edge_paths[("a", "b")]
         assert path.total_latency == 0.0
         assert path.nodes == (fn(0),)
@@ -98,7 +103,8 @@ class TestMapLevelEdges:
         rm = ResourceMatrix.from_graph(two_cluster_graph)
         app, placement = self.app_on(two_cluster_graph,
                                      {"a": fn(0), "b": fn(1)}, bw=150.0)
-        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm)
+        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm,
+                        rm.snapshot())
         path = placement.edge_paths[("a", "b")]
         assert len(path.links) == 2  # via the shared FCI
         for key in path.links:
@@ -108,7 +114,8 @@ class TestMapLevelEdges:
         rm = ResourceMatrix.from_graph(two_cluster_graph)
         app, placement = self.app_on(two_cluster_graph,
                                      {"a": fn(0), "b": fn(1)}, bw=10_000.0)
-        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm)
+        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm,
+                        rm.snapshot())
         assert ("a", "b") in placement.unmapped
         assert "bandwidth" in placement.unmapped[("a", "b")]
         assert ("a", "b") not in placement.edge_paths
@@ -118,7 +125,8 @@ class TestMapLevelEdges:
         app, placement = self.app_on(two_cluster_graph,
                                      {"a": fn(0), "b": fn(1)})
         app.edges[0].max_latency = 1.0  # path costs 120 ms
-        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm)
+        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm,
+                        rm.snapshot())
         assert ("a", "b") in placement.edge_paths
         assert any(code == "edge-latency" for code, _, _ in placement.violations)
 
@@ -127,38 +135,49 @@ class TestMapLevelEdges:
         app, placement = self.app_on(two_cluster_graph, {"a": fn(0), "b": fn(1)})
         del placement.task_locations["b"]
         placement.rejected.append(("b", "no capacity"))
-        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm)
+        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm,
+                        rm.snapshot())
         assert ("a", "b") in placement.ignored
         assert ("a", "b") not in placement.unmapped
 
 
 class TestResetRm:
+    def loaded(self, graph):
+        """A matrix whose held values are not round: 0.1 + 2 - 2 != 0.1."""
+        rm = ResourceMatrix.from_graph(graph)
+        link = next(iter(rm.capacity_bw))
+        rm.hold(Envelope(cpu={fn(0): 0.1}, mem={fn(0): 0.1}, bw={link: 0.1}))
+        return rm, link
+
     def test_reset_restores_snapshot(self, two_cluster_graph):
-        rm = ResourceMatrix.from_graph(two_cluster_graph)
-        snap = rm.snapshot()
-        rm.debit_node(fn(0), 2.0, 100.0)
-        rm.debit_link(next(iter(rm.capacity_bw)), 50.0)
-        reset_rm(rm, snap)
-        assert rm.held_cpu == snap["held_cpu"]
-        assert rm.held_mem == snap["held_mem"]
-        assert rm.held_bw == snap["held_bw"]
+        rm, link = self.loaded(two_cluster_graph)
+        before = (dict(rm.held_cpu), dict(rm.held_mem), dict(rm.held_bw))
+        log = rm.snapshot()
+        rm.debit_task(make_task("a", cpu=2, mem=100), fn(0), log)
+        rm.debit_link(link, 50.0, log)
+        assert (log.cpu, log.mem, log.bw) == ({fn(0): 2.0}, {fn(0): 100.0},
+                                              {link: 50.0})
+        reset_rm(rm, log)
+        assert rm.held_cpu == before[0]
+        assert rm.held_mem == before[1]
+        assert rm.held_bw == before[2]
 
     def test_reset_idempotent(self, two_cluster_graph):
-        rm = ResourceMatrix.from_graph(two_cluster_graph)
-        snap = rm.snapshot()
-        rm.debit_node(fn(0), 2.0, 100.0)
-        reset_rm(rm, snap)
+        rm, _ = self.loaded(two_cluster_graph)
+        log = rm.snapshot()
+        rm.debit_task(make_task("a", cpu=2, mem=100), fn(0), log)
+        reset_rm(rm, log)
         once = (dict(rm.held_cpu), dict(rm.effective_cpu))
-        reset_rm(rm, snap)
+        reset_rm(rm, log)
         assert (dict(rm.held_cpu), dict(rm.effective_cpu)) == once
 
     def test_specific_node_returns_to_snapshot_value(self, two_cluster_graph):
-        rm = ResourceMatrix.from_graph(two_cluster_graph)
-        snap = rm.snapshot()
+        rm, _ = self.loaded(two_cluster_graph)
+        log = rm.snapshot()
         before = rm.residual_cpu(fn(2))
-        rm.debit_node(fn(2), 2.0, 0.0)
+        rm.debit_task(make_task("a", cpu=2, mem=100), fn(2), log)
         assert rm.residual_cpu(fn(2)) == before - 2.0
-        reset_rm(rm, snap)
+        reset_rm(rm, log)
         assert rm.residual_cpu(fn(2)) == before
 
 
@@ -166,12 +185,12 @@ class TestResourceMatrix:
     def test_overdraw_rejected(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
         with pytest.raises(Exception):
-            rm.debit_node(fn(1), 9.0, 0.0)  # capacity is 8
+            rm.hold(Envelope(cpu={fn(1): 9.0}))  # capacity is 8
 
     def test_clone_is_independent(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
         copy = rm.clone()
-        copy.debit_node(fn(0), 5.0, 0.0)
+        copy.hold(Envelope(cpu={fn(0): 5.0}))
         assert rm.residual_cpu(fn(0)) == 100.0
 
 
@@ -273,3 +292,86 @@ def test_placement_invariants_on_generated_instances(seed):
         assert "capacity" not in codes
         assert "bandwidth" not in codes
         assert "home-fn" not in codes
+
+
+class LoggingMatrix(ResourceMatrix):
+    """Keeps every level log that placement opens on it."""
+
+    def snapshot(self):
+        log = super().snapshot()
+        self.logs.append(log)
+        return log
+
+
+def loaded_matrix(graph, rng):
+    """Overlapping holds under fluctuated capacities: no held value is round."""
+    rm = LoggingMatrix.from_graph(graph)
+    rm.logs = []
+    nodes = sorted(graph.fn_by_id) + [graph.cloud.id]
+    links = sorted(rm.capacity_bw)
+    for _ in range(4):
+        rm.hold(Envelope(
+            cpu={n: rng.uniform(0.1, 0.9) for n in rng.sample(nodes, 3)},
+            mem={n: rng.uniform(10.0, 90.0) for n in rng.sample(nodes, 3)},
+            bw={k: rng.uniform(1.0, 9.0) for k in rng.sample(links, 3)}))
+    apply_fluctuation(rm, FluctuationConfig(interval_s=1.0,
+                                            availability_range=(0.5, 0.9)), rng)
+    return rm
+
+
+def matrix_state(rm):
+    return [list(d.items()) for d in (rm.held_cpu, rm.held_mem, rm.held_bw,
+                                      rm.effective_cpu, rm.effective_mem,
+                                      rm.effective_bw)]
+
+
+def level_amounts(got, app, level):
+    """Per-node demands of one level's located tasks, summed from 0.0 in
+    placement order."""
+    cpu, mem = {}, {}
+    for tid in level:
+        node = got.task_locations.get(tid)
+        if node is not None:
+            task = app.task_by_id[tid]
+            cpu[node] = cpu.get(node, 0.0) + task.cpu_demand
+            mem[node] = mem.get(node, 0.0) + task.mem_demand
+    return cpu, mem
+
+
+def peak(dicts):
+    out = {}
+    for d in dicts:
+        for key, amt in d.items():
+            out[key] = max(out.get(key, 0.0), amt)
+    return list(out.items())
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_placement_undoes_every_level_exactly(seed):
+    graph = build_graph(EnvConfig(fns=6, fcis=2, cpu=(4, 8),
+                                  mem_mb=(500, 1000),
+                                  fci_link_probability=0.5), seed=1)
+    cfg = WorkloadConfig(app_count=3, tasks_per_app=(2, 8),
+                         cpu=(1, 3), mem_mb=(100, 400),
+                         edge_bandwidth_mbps=(10, 60),
+                         link_probability=0.4, max_total_tasks=100)
+    rm = loaded_matrix(graph, random.Random(seed))
+    for app in generate_workload(cfg, graph, seed):
+        for algorithm in (
+                lambda: herafc_place(app, graph, rm, order_tasks(app, graph)),
+                lambda: baseline_cloud_first(app, graph, rm)):
+            before = matrix_state(rm)
+            rm.logs.clear()
+            got = algorithm()
+            assert matrix_state(rm) == before
+            logs = rm.logs[len(rm.logs) - len(got.level_order):]
+            for level, log in zip(got.level_order, logs):
+                cpu, mem = level_amounts(got, app, level)
+                assert list(log.cpu.items()) == list(cpu.items())
+                assert list(log.mem.items()) == list(mem.items())
+            assert list(got.envelope.cpu.items()) == peak(l.cpu for l in logs)
+            assert list(got.envelope.mem.items()) == peak(l.mem for l in logs)
+            assert list(got.envelope.bw.items()) == peak(l.bw for l in logs)
+            rm.hold(got.envelope)

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from fogsched.ordering import task_levels
-from fogsched.placement import ResourceMatrix
+from fogsched.placement import Envelope, ResourceMatrix
 from fogsched.simkit import (ALGORITHMS, ExperimentConfig, FluctuationConfig,
                              SimError, apply_fluctuation, baseline_cloud_first,
                              baseline_order, run_experiment, run_replication,
                              time_algorithms)
-from fogsched.topology import EnvConfig
-from fogsched.workload import WorkloadConfig
+from fogsched.topology import EnvConfig, build_graph
+from fogsched.workload import WorkloadConfig, generate_workload
 
 from conftest import CLOUD_ID, fn, make_app, make_edge, make_graph, make_task
 
@@ -145,7 +145,7 @@ class TestBaselineCloudFirst:
     def test_full_home_sends_everything_to_cloud(self):
         g = make_graph(fn_caps=[(3, 300)], clusters=[0])
         rm = ResourceMatrix.from_graph(g)
-        rm.debit_node(fn(0), 3.0, 300.0)
+        rm.hold(Envelope(cpu={fn(0): 3.0}, mem={fn(0): 300.0}))
         app = make_app(
             [make_task("a", cpu=1, mem=50), make_task("b", cpu=1, mem=50)],
             [make_edge("a", "b", bw=20.0)], home=fn(0))
@@ -161,12 +161,27 @@ class TestBaselineCloudFirst:
         assert baseline_cloud_first(app, g, rm).to_dict() == \
                baseline_cloud_first(app, g, rm).to_dict()
 
+    def test_pin_rule_never_reruns(self):
+        # Home is every task's first stage, so without a home task no task
+        # fits home: the pin rule marks it infeasible instead of re-running.
+        graph = build_graph(EnvConfig(**SMALL_ENV), seed=1)
+        rm = ResourceMatrix.from_graph(graph)
+        outcomes = set()
+        for app in generate_workload(WorkloadConfig(**SMALL_WL), graph, 3):
+            got = baseline_cloud_first(app, graph, rm)
+            assert got.pinned_task is None
+            home_used = app.home_fn in got.task_locations.values()
+            assert got.home_pin_infeasible == (not home_used)
+            outcomes.add(home_used)
+            rm.hold(got.envelope)  # never released: the home FNs fill up
+        assert outcomes == {True, False}
+
 
 class TestApplyFluctuation:
     def test_identity_range_is_noop(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
         before = dict(rm.effective_cpu)
-        apply_fluctuation(rm, 0.0,
+        apply_fluctuation(rm,
                           FluctuationConfig(interval_s=1.0,
                                             availability_range=(1.0, 1.0)),
                           random.Random(1))
@@ -178,18 +193,18 @@ class TestApplyFluctuation:
                                   availability_range=(0.3, 0.7))
         rng = random.Random(2)
         for _ in range(50):
-            apply_fluctuation(rm, 0.0, fluct, rng)
+            apply_fluctuation(rm, fluct, rng)
             for node, cap in rm.capacity_cpu.items():
                 assert 0.3 * cap - 1e-9 <= rm.effective_cpu[node] <= 0.7 * cap + 1e-9
 
     def test_holds_never_revoked(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
-        rm.debit_node(fn(0), 40.0, 400.0)
+        rm.hold(Envelope(cpu={fn(0): 40.0}, mem={fn(0): 400.0}))
         fluct = FluctuationConfig(interval_s=1.0,
                                   availability_range=(0.01, 0.2))
         rng = random.Random(3)
         for _ in range(50):
-            apply_fluctuation(rm, 0.0, fluct, rng)
+            apply_fluctuation(rm, fluct, rng)
             assert rm.effective_cpu[fn(0)] >= 40.0
             assert rm.effective_mem[fn(0)] >= 400.0
             assert rm.residual_cpu(fn(0)) >= 0.0
