@@ -159,14 +159,13 @@ def eval_single_fog(assignment: ServerAssignment,
 
 
 def eval_mfc(placement: Placement, graph: ResourceGraph, rm: ResourceMatrix,
-             big_delta: float = DEFAULT_BIG_DELTA,
-             cpu_weight: float = 1.0) -> ObjectiveBreakdown:
+             big_delta: float = DEFAULT_BIG_DELTA) -> ObjectiveBreakdown:
     """Score a multi-fog/cloud placement against the given residuals.
 
     Task term: 1/R for the cloud or a remote FN, big_delta/R for the app's
-    home FN, where R blends residual cpu and mem by cpu_weight (default: cpu
-    only). Edge latency term: mapped path latency plus its hop count. Edge
-    bandwidth term: sum of 1/residual-bandwidth over the path's links.
+    home FN, where R is the node's residual cpu. Edge latency term: mapped
+    path latency plus its hop count. Edge bandwidth term: sum of
+    1/residual-bandwidth over the path's links.
     """
     if not 0.0 < big_delta < 1.0:
         raise EvaluationError("big_delta must lie strictly in (0, 1)")
@@ -178,8 +177,7 @@ def eval_mfc(placement: Placement, graph: ResourceGraph, rm: ResourceMatrix,
             f"placement has unmapped edges: {sorted(placement.unmapped)}")
     out = ObjectiveBreakdown()
     for task, node in placement.task_locations.items():
-        residual = (cpu_weight * rm.residual_cpu(node)
-                    + (1.0 - cpu_weight) * rm.residual_mem(node))
+        residual = rm.residual_cpu(node)
         if residual <= 0:
             raise EvaluationError(f"node {node} has no residual capacity")
         factor = big_delta if node == placement.home_fn else 1.0

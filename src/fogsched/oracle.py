@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .ordering import order_tasks, task_levels
-from .placement import Placement, ResourceMatrix, herafc_place
+from .placement import (Placement, ResourceMatrix, herafc_place,
+                        map_level_edges, reset_rm)
 from .objective import DEFAULT_BIG_DELTA, eval_mfc
 from .topology import NoPath, NodeId, PhysicalPath, ResourceGraph, shortest_path
 from .workload import Application
@@ -52,37 +53,25 @@ class OracleResult:
         }
 
 
-def _map_edges_contended(app, graph, rm, assignment, level_of):
-    """Per-level edge mapping with live bandwidth accounting and reset.
+def map_assignment_edges(app: Application, graph: ResourceGraph,
+                         rm: ResourceMatrix, assignment: dict[str, NodeId],
+                         levels: list[list[str]]):
+    """Map a fixed assignment's edges as the heuristic does, on `rm`.
 
-    Mirrors the heuristic's edge procedure: edges are attempted at the later
-    of their endpoints' levels, descending by bandwidth demand, against a
-    bandwidth state reset per level. Returns edge paths or None if some edge
-    has no feasible path.
+    Levels are taken root first. Each level's tasks are located before its
+    edges are mapped, so every edge is mapped at the later of its endpoints'
+    levels, and each level is undone before the next. Returns the edge paths,
+    or None if some edge has no bandwidth-feasible path. `rm` ends as passed.
     """
-    paths: dict = {}
-    depth = max(level_of.values()) + 1
-    base_held = dict(rm.held_bw)
-    for level_idx in range(depth - 1, -1, -1):
-        work = rm.clone()
-        work.held_bw = dict(base_held)
-        adjacent = [e for e in app.edges
-                    if min(level_of[e.src], level_of[e.dst]) == level_idx]
-        adjacent.sort(key=lambda e: (-e.bandwidth_demand, e.key))
-        for edge in adjacent:
-            a, b = assignment[edge.src], assignment[edge.dst]
-            if a == b:
-                paths[edge.key] = PhysicalPath(nodes=(a,), total_latency=0.0,
-                                               min_bandwidth=math.inf, hop_count=0)
-                continue
-            path = shortest_path(graph, a, b, edge.bandwidth_demand,
-                                 residual_bw=work.bw_view())
-            if isinstance(path, NoPath):
-                return None
-            for key in path.links:
-                work.held_bw[key] += edge.bandwidth_demand
-            paths[edge.key] = path
-    return paths
+    placement = Placement(app_id=app.id, home_fn=app.home_fn)
+    for level in reversed(levels):
+        placement.task_locations.update((t, assignment[t]) for t in level)
+        log = rm.snapshot()
+        map_level_edges(level, app, placement, graph, rm, log)
+        reset_rm(rm, log)
+        if placement.unmapped:
+            return None
+    return placement.edge_paths
 
 
 def exhaustive_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
@@ -196,7 +185,7 @@ def exhaustive_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
                     break
                 score += term
         else:
-            paths = _map_edges_contended(app, graph, rm, assignment, level_of)
+            paths = map_assignment_edges(app, graph, rm, assignment, levels)
             if paths is None:
                 feasible = False
             else:

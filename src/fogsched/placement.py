@@ -2,9 +2,8 @@
 
 Levels are consumed root-first (LIFO over the level queue), tasks within a
 level in descending mean-critical-value order. Each task is first-fit against
-the locations hosting its already-placed children (falling back to the app's
-home fog node when none are placed yet), then the 1-hop fog set, the 2-hop
-fog set, and finally the cloud. Task edges adjacent to the level are mapped
+the app's home fog node, then the fog nodes 1 hop from it, then those 2 hops
+from it, and finally the cloud. Task edges adjacent to the level are mapped
 on latency-shortest bandwidth-feasible paths.
 
 Each level debits the live resource matrix and records a level log: the
@@ -22,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from .ordering import ProcessQueue
-from .topology import (CLOUD, FOG, NoPath, NodeId, PhysicalPath, ResourceGraph,
+from .topology import (FOG, NoPath, NodeId, PhysicalPath, ResourceGraph,
                        nodes_within_hops, shortest_path)
 from .workload import Application, Task
 
@@ -203,7 +202,6 @@ class Placement:
     unmapped: dict[tuple[str, str], str] = field(default_factory=dict)
     ignored: set = field(default_factory=set)
     rejected: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
     level_order: list[list[str]] = field(default_factory=list)
     envelope: Envelope = field(default_factory=Envelope)
     level_durations: list[float] = field(default_factory=list)
@@ -221,7 +219,6 @@ class Placement:
                          for (s, d), reason in sorted(self.unmapped.items())},
             "ignored": sorted(f"{s}->{d}" for s, d in self.ignored),
             "rejected": [[t, reason] for t, reason in self.rejected],
-            "violations": [list(v) for v in self.violations],
         }
 
 
@@ -233,27 +230,19 @@ def try_deploy(task: Task, candidates, rm: ResourceMatrix):
     return None
 
 
-def _hop_set(graph: ResourceGraph, origins: frozenset, h: int) -> list[NodeId]:
-    cache = graph._hopset_cache
-    key = (origins, h)
-    hit = cache.get(key)
-    if hit is None:
-        hit = sorted(nodes_within_hops(graph, origins, h))
-        cache[key] = hit
-    return hit
-
-
-def _candidate_stages(graph: ResourceGraph, origins: list[NodeId]):
-    """Candidate stages: origins, 1-hop fog, 2-hop fog, then the cloud."""
-    origin_set = frozenset(origins)
-    fog_origins = sorted(n for n in origins if n.tier == FOG)
-    cloud_origin = [n for n in origins if n.tier == CLOUD]
-    stage0 = fog_origins + cloud_origin
-    one_hop = [n for n in _hop_set(graph, origin_set, 1) if n.tier == FOG]
-    two_hop = [n for n in _hop_set(graph, origin_set, 2)
-               if n.tier == FOG and n not in one_hop]
-    cloud = [] if cloud_origin else [graph.cloud.id]
-    return stage0, one_hop, two_hop, cloud
+def _candidate_stages(graph: ResourceGraph, home: NodeId):
+    """Candidate stages around an app's home FN: the home FN, the fog nodes
+    1 hop from it, those 2 hops from it, then the cloud. Memoised per home FN."""
+    stages = graph._stages_cache.get(home)
+    if stages is None:
+        one_hop = tuple(n for n in sorted(nodes_within_hops(graph, (home,), 1))
+                        if n.tier == FOG)
+        near = set(one_hop)
+        two_hop = tuple(n for n in sorted(nodes_within_hops(graph, (home,), 2))
+                        if n.tier == FOG and n not in near)
+        stages = ((home,), one_hop, two_hop, (graph.cloud.id,))
+        graph._stages_cache[home] = stages
+    return stages
 
 
 def map_level_edges(level_tasks, app: Application, placement: Placement,
@@ -294,19 +283,6 @@ def map_level_edges(level_tasks, app: Application, placement: Placement,
         for key in path.links:
             rm.debit_link(key, edge.bandwidth_demand, log)
         placement.edge_paths[edge.key] = path
-        if path.total_latency > edge.max_latency:
-            placement.violations.append(
-                ("edge-latency", f"{edge.src}->{edge.dst}",
-                 f"path latency {path.total_latency:.3f} ms exceeds "
-                 f"demand {edge.max_latency:.3f} ms"))
-
-
-def _child_stages(app: Application, graph: ResourceGraph,
-                  placement: Placement, tid: str):
-    """Candidate stages around a task's placed children (else the home FN)."""
-    child_locs = sorted({placement.task_locations[c] for c in app.children[tid]
-                         if c in placement.task_locations})
-    return _candidate_stages(graph, child_locs if child_locs else [app.home_fn])
 
 
 def _place_once(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
@@ -324,8 +300,7 @@ def _place_once(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
             if tid == pinned and rm.fits(task, app.home_fn):
                 node = app.home_fn
             if node is None:
-                for stage in (stages if stages is not None
-                              else _child_stages(app, graph, placement, tid)):
+                for stage in stages:
                     node = try_deploy(task, stage, rm)
                     if node is not None:
                         break
@@ -345,14 +320,13 @@ def _place_once(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
 
 
 def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
-                 levels, pin_rank, stages=None) -> Placement:
+                 levels, pin_rank, stages) -> Placement:
     """The placement loop every algorithm shares, with the home-pin rule.
 
     Levels are placed in the given order, the tasks of each in the given
     order. Each level is placed on the live `rm` and undone before the next,
-    so `rm` ends exactly as it was passed. `stages` fixes every task's
-    candidate stages; by default they are `_candidate_stages` around the
-    task's placed children.
+    so `rm` ends exactly as it was passed. Every task is first-fit against
+    `stages`, a sequence of candidate-location sequences tried in order.
 
     Guarantees at least one task on the app's home fog node whenever any task
     could fit there (re-running with the fitting task of highest `pin_rank`
@@ -375,7 +349,9 @@ def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
 def herafc_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
                  queue: ProcessQueue) -> Placement:
     """Place one application root level first, each level in descending
-    mean-critical-value order; the pin rule ranks tasks by weighted value."""
+    mean-critical-value order, against the home FN, the 1-hop and 2-hop fog
+    nodes, then the cloud; the pin rule ranks tasks by weighted value."""
     levels = [sorted(level, key=lambda t: (-queue.mcv[t], t))
               for level in reversed(queue.levels)]
-    return place_levels(app, graph, rm, levels, queue.wv)
+    return place_levels(app, graph, rm, levels, queue.wv,
+                        _candidate_stages(graph, app.home_fn))

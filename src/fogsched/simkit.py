@@ -233,7 +233,8 @@ def run_replication(cfg: ExperimentConfig, seed: int,
     cloud_cap_mem = live.capacity_mem[cloud_id]
     fog_links = [k for k in live.capacity_bw if k[0].tier != CLOUD
                  and k[1].tier != CLOUD]
-    cloud_links = [k for k in live.capacity_bw if k not in fog_links]
+    cloud_links = [k for k in live.capacity_bw if k[0].tier == CLOUD
+                   or k[1].tier == CLOUD]
     fog_cap_bw = sum(live.capacity_bw[k] for k in fog_links)
     cloud_cap_bw = sum(live.capacity_bw[k] for k in cloud_links)
 
@@ -356,9 +357,9 @@ def run_replication(cfg: ExperimentConfig, seed: int,
                 placed_fog += 1
             else:
                 placed_cloud += 1
-            outgoing = [placement.edge_paths[e.key].total_latency
-                        for e in app.edges
-                        if e.src == task.id and e.key in placement.edge_paths]
+            outgoing = [placement.edge_paths[(task.id, child)].total_latency
+                        for child in app.children[task.id]
+                        if (task.id, child) in placement.edge_paths]
             if outgoing:
                 latencies.setdefault((task.priority, tier), []).append(
                     sum(outgoing))

@@ -98,7 +98,6 @@ class EnvConfig:
     lat_fn_cloud_ms: tuple[float, float] = (101, 200)
     fci_link_probability: float = 0.15
     fn_cloud_link_probability: float = 0.0
-    max_hops: int = 2
     cloud_cpu: int | None = None
     cloud_mem_mb: int | None = None
     cloud_scale: float = 10.0
@@ -126,8 +125,6 @@ class EnvConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise GraphConfigError(f"{name} must lie in [0, 1]")
-        if self.max_hops not in (1, 2):
-            raise GraphConfigError("max_hops must be 1 or 2")
         # Access links must be strictly faster than the backbone: the generated
         # graph guarantees max FN-FCI latency < min FCI-FCI / FCI-cloud latency.
         backbone_min = min(self.lat_fci_fci_ms[0], self.lat_fci_cloud_ms[0])
@@ -211,10 +208,7 @@ class ResourceGraph:
                 self.fn_cloud_linked.add(fn)
         self._fci_dist_cache: dict[NodeId, dict[NodeId, int]] = {}
         self._cloud_fci_dist: dict[NodeId, int] | None = None
-        self._hopset_cache: dict[tuple[frozenset, int], list[NodeId]] = {}
-
-    def node_ids(self) -> list[NodeId]:
-        return [fn.id for fn in self.fns] + list(self.fcis) + [self.cloud.id]
+        self._stages_cache: dict[NodeId, tuple] = {}
 
     def locations(self) -> list[NodeId]:
         """Hosting locations: all FNs plus the cloud, in id order."""

@@ -56,8 +56,6 @@ class Application:
             self.parents.setdefault(edge.dst, []).append(edge.src)
         self.out_degree: dict[str, int] = {
             t.id: len(self.children[t.id]) for t in self.tasks}
-        self.edge_by_key: dict[tuple[str, str], TaskEdge] = {
-            e.key: e for e in self.edges}
 
 
 @dataclass

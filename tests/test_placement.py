@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from fogsched.objective import check_constraints
 from fogsched.ordering import order_tasks
 from fogsched.placement import (Envelope, Placement, ResourceMatrix,
-                                herafc_place, map_level_edges, reset_rm,
-                                try_deploy)
+                                _candidate_stages, herafc_place,
+                                map_level_edges, reset_rm, try_deploy)
 from fogsched.simkit import (FluctuationConfig, apply_fluctuation,
                              baseline_cloud_first)
-from fogsched.topology import CLOUD, EnvConfig, build_graph
+from fogsched.topology import CLOUD, EnvConfig, build_graph, hop_distance
 from fogsched.workload import WorkloadConfig, generate_workload
 
 from conftest import CLOUD_ID, fn, make_app, make_edge, make_graph, make_task
@@ -58,6 +58,27 @@ class TestSingleTaskRouting:
         app = make_app([make_task("a", cpu=4, mem=300)], home=fn(0))
         got = place(app, g)
         assert got.task_locations == {"a": CLOUD_ID}
+
+
+@pytest.mark.parametrize("seed,fn_cloud", [(1, 0.0), (2, 0.0), (3, 0.5)])
+def test_candidate_stages_follow_hop_distance(seed, fn_cloud):
+    """Home FN, the fog nodes 1 hop from it, those 2 hops from it, the cloud."""
+    graph = build_graph(EnvConfig(fns=12, fcis=4, fci_link_probability=0.4,
+                                  fn_cloud_link_probability=fn_cloud), seed)
+    fog = sorted(graph.fn_by_id)
+    two_hop_seen = False
+    for home in fog:
+        stages = _candidate_stages(graph, home)
+        assert stages[0] == (home,)
+        for h in (1, 2):
+            assert list(stages[h]) == [n for n in fog
+                                       if hop_distance(graph, home, n) == h]
+        assert stages[3] == (graph.cloud.id,)
+        flat = [n for stage in stages for n in stage]
+        assert len(flat) == len(set(flat))
+        assert _candidate_stages(graph, home) is stages
+        two_hop_seen = two_hop_seen or bool(stages[2])
+    assert two_hop_seen
 
 
 class TestTryDeploy:
@@ -128,7 +149,8 @@ class TestMapLevelEdges:
         map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm,
                         rm.snapshot())
         assert ("a", "b") in placement.edge_paths
-        assert any(code == "edge-latency" for code, _, _ in placement.violations)
+        assert [(code, entity) for code, entity, _ in check_constraints(
+            placement, app, two_cluster_graph, "mfc")] == [("edge-latency", "a->b")]
 
     def test_rejected_endpoint_ignored(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
