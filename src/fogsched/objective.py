@@ -215,7 +215,8 @@ def check_constraints(placement, app: Application, graph_or_model,
         locs = placement.task_locations.get(task.id)
         if locs is None:
             count = 0
-        elif isinstance(locs, (list, tuple, set)):
+        # A NodeId is itself a tuple: only a list or set names several.
+        elif isinstance(locs, (list, set)):
             count = len(locs)
         else:
             count = 1
@@ -230,30 +231,26 @@ def check_constraints(placement, app: Application, graph_or_model,
     # Capacity binds per level: consecutive levels run sequentially and may
     # reuse the same capacity, so sum demands within each level only.
     levels = placement.level_order or [sorted(placement.task_locations)]
-    capacity_cpu = {fn.id: fn.cpu_capacity for fn in graph.fns}
-    capacity_mem = {fn.id: fn.mem_capacity for fn in graph.fns}
-    capacity_cpu[graph.cloud.id] = graph.cloud.cpu_capacity
-    capacity_mem[graph.cloud.id] = graph.cloud.mem_capacity
     for level in levels:
         used_cpu: dict = {}
         used_mem: dict = {}
         for tid in level:
             node = placement.task_locations.get(tid)
-            if node is None or isinstance(node, (list, tuple, set)):
+            if node is None or isinstance(node, (list, set)):
                 continue
             task = app.task_by_id[tid]
             used_cpu[node] = used_cpu.get(node, 0.0) + task.cpu_demand
             used_mem[node] = used_mem.get(node, 0.0) + task.mem_demand
         for node, used in used_cpu.items():
-            if used > capacity_cpu[node] + 1e-9:
+            if used > graph.capacity_cpu[node] + 1e-9:
                 violations.append(("capacity", str(node),
                                    f"level cpu demand {used} exceeds capacity "
-                                   f"{capacity_cpu[node]}"))
+                                   f"{graph.capacity_cpu[node]}"))
         for node, used in used_mem.items():
-            if used > capacity_mem[node] + 1e-9:
+            if used > graph.capacity_mem[node] + 1e-9:
                 violations.append(("capacity", str(node),
                                    f"level mem demand {used} exceeds capacity "
-                                   f"{capacity_mem[node]}"))
+                                   f"{graph.capacity_mem[node]}"))
     for edge in app.edges:
         path = placement.edge_paths.get(edge.key)
         if path is None:
@@ -269,7 +266,7 @@ def check_constraints(placement, app: Application, graph_or_model,
                  f"path latency {path.total_latency:.3f} ms exceeds demand "
                  f"{edge.max_latency:.3f} ms"))
     located = {n for n in placement.task_locations.values()
-               if not isinstance(n, (list, tuple, set))}
+               if not isinstance(n, (list, set))}
     home_ok = placement.home_fn in located
     waived = getattr(placement, "home_pin_infeasible", False)
     if not home_ok and not waived:

@@ -111,17 +111,22 @@ def mean_critical_value(wv: float, out_degree: int,
 def task_levels(app: Application) -> list[list[str]]:
     """Precedence levels: leaves at level 0, parent = 1 + max child level."""
     level: dict[str, int] = {}
-    remaining = dict(app.out_degree)
+    children = app.children()
+    remaining = {t.id: len(children[t.id]) for t in app.tasks}
+    parents: dict[str, list[str]] = {t: [] for t in remaining}
+    for t in remaining:
+        for child in children[t]:
+            parents.setdefault(child, []).append(t)
     frontier = sorted(t for t, d in remaining.items() if d == 0)
     for t in frontier:
         level[t] = 0
     pending = list(frontier)
     while pending:
         cur = pending.pop()
-        for parent in app.parents[cur]:
+        for parent in parents[cur]:
             remaining[parent] -= 1
             if remaining[parent] == 0:
-                level[parent] = 1 + max(level[c] for c in app.children[parent])
+                level[parent] = 1 + max(level[c] for c in children[parent])
                 pending.append(parent)
     if len(level) != len(app.tasks):
         raise OrderingError("application DAG contains a cycle")
@@ -142,7 +147,8 @@ def order_tasks(app: Application, graph: ResourceGraph,
     r_hat = normalize_resource(app, graph, weights)
     wv = {t.id: critical_value(m_hat[t.id], p_hat[t.id], r_hat[t.id], weights)
           for t in app.tasks}
-    mcv = {t: mean_critical_value(wv[t], app.out_degree[t], delta)
+    children = app.children()
+    mcv = {t: mean_critical_value(wv[t], len(children[t]), delta)
            for t in wv}
     levels = task_levels(app)
     for level in levels:

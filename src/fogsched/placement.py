@@ -106,10 +106,8 @@ class ResourceMatrix:
 
     @classmethod
     def from_graph(cls, graph: ResourceGraph) -> "ResourceMatrix":
-        cpu = {fn.id: float(fn.cpu_capacity) for fn in graph.fns}
-        mem = {fn.id: float(fn.mem_capacity) for fn in graph.fns}
-        cpu[graph.cloud.id] = float(graph.cloud.cpu_capacity)
-        mem[graph.cloud.id] = float(graph.cloud.mem_capacity)
+        cpu = {n: float(c) for n, c in graph.capacity_cpu.items()}
+        mem = {n: float(c) for n, c in graph.capacity_mem.items()}
         bw = {link.key: float(link.bandwidth_capacity) for link in graph.links}
         return cls(capacity_cpu=cpu, capacity_mem=mem, capacity_bw=bw)
 

@@ -347,6 +347,7 @@ def run_replication(cfg: ExperimentConfig, seed: int,
         completion = sim_time + sum(placement.level_durations)
         heapq.heappush(releases, (completion, release_counter))
 
+        children = app.children()
         for task in app.tasks:
             node = placement.task_locations.get(task.id)
             if node is None:
@@ -358,7 +359,7 @@ def run_replication(cfg: ExperimentConfig, seed: int,
             else:
                 placed_cloud += 1
             outgoing = [placement.edge_paths[(task.id, child)].total_latency
-                        for child in app.children[task.id]
+                        for child in children[task.id]
                         if (task.id, child) in placement.edge_paths]
             if outgoing:
                 latencies.setdefault((task.priority, tier), []).append(

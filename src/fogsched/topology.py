@@ -12,7 +12,8 @@ import math
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 FOG = "fog"
 FCI = "fci"
@@ -23,8 +24,11 @@ class GraphConfigError(ValueError):
     """Raised when an environment config cannot produce a valid graph."""
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
+class NodeId(NamedTuple):
+    """A node's tier and index. A plain tuple underneath, so hashing,
+    equality and ordering run in C: hash(NodeId("fog", 3)) == hash(("fog", 3))
+    and ids sort by tier name, then index."""
+
     tier: str
     index: int
 
@@ -176,6 +180,10 @@ class ResourceGraph:
 
     def __post_init__(self) -> None:
         self.fn_by_id: dict[NodeId, FogNode] = {fn.id: fn for fn in self.fns}
+        self.capacity_cpu: dict[NodeId, int] = {fn.id: fn.cpu_capacity for fn in self.fns}
+        self.capacity_mem: dict[NodeId, int] = {fn.id: fn.mem_capacity for fn in self.fns}
+        self.capacity_cpu[self.cloud.id] = self.cloud.cpu_capacity
+        self.capacity_mem[self.cloud.id] = self.cloud.mem_capacity
         self.adjacency: dict[NodeId, list[tuple[NodeId, Link]]] = {}
         self.link_by_key: dict[tuple[NodeId, NodeId], Link] = {}
         for link in self.links:
@@ -360,6 +368,12 @@ def shortest_path(g: ResourceGraph, a: NodeId, b: NodeId,
         return PhysicalPath(nodes=(a,), total_latency=0.0,
                             min_bandwidth=math.inf, hop_count=0)
     lookup = residual_bw if residual_bw is not None else {}
+    # A route must leave a and enter b over a feasible link. Most failed
+    # searches fail here, and this check costs a few links, not the search.
+    for end in (a, b):
+        if not any(lookup.get(link.key, link.bandwidth_capacity) >= required_bandwidth
+                   for _, link in g.adjacency.get(end, ())):
+            return NoPath(src=a, dst=b, required_bandwidth=required_bandwidth)
     best_seen: dict[NodeId, tuple] = {}
     heap = [(0.0, 0, (a,))]
     while heap:

@@ -19,7 +19,7 @@ class WorkloadError(ValueError):
     """Raised for invalid workload configs or application documents."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     id: str
     cpu_demand: int
@@ -28,7 +28,7 @@ class Task:
     priority: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskEdge:
     src: str
     dst: str
@@ -40,22 +40,24 @@ class TaskEdge:
         return (self.src, self.dst)
 
 
-@dataclass
+@dataclass(slots=True)
 class Application:
     id: str
     tasks: list[Task]
     edges: list[TaskEdge]
     home_fn: NodeId
+    task_by_id: dict[str, Task] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.task_by_id: dict[str, Task] = {t.id: t for t in self.tasks}
-        self.children: dict[str, list[str]] = {t.id: [] for t in self.tasks}
-        self.parents: dict[str, list[str]] = {t.id: [] for t in self.tasks}
+        self.task_by_id = {t.id: t for t in self.tasks}
+
+    def children(self) -> dict[str, list[str]]:
+        """Each task's children in edge order, keyed in task order. Built per
+        call and not kept: a run holds every app until it ends."""
+        children: dict[str, list[str]] = {t.id: [] for t in self.tasks}
         for edge in self.edges:
-            self.children.setdefault(edge.src, []).append(edge.dst)
-            self.parents.setdefault(edge.dst, []).append(edge.src)
-        self.out_degree: dict[str, int] = {
-            t.id: len(self.children[t.id]) for t in self.tasks}
+            children.setdefault(edge.src, []).append(edge.dst)
+        return children
 
 
 @dataclass

@@ -169,6 +169,15 @@ class TestCheckConstraints:
                  check_constraints(placement, app, two_cluster_graph, "mfc")]
         assert "one-location" in codes
 
+    def test_node_id_is_one_location_list_is_two(self, two_cluster_graph):
+        app, placement = self.clean_run(two_cluster_graph)
+        placement.task_locations["a"] = fn(1)
+        assert not any(c == "one-location" for c, _, _ in
+                       check_constraints(placement, app, two_cluster_graph, "mfc"))
+        placement.task_locations["a"] = [fn(0), fn(1)]
+        assert ("one-location", "a", "task mapped to 2 locations") in \
+            check_constraints(placement, app, two_cluster_graph, "mfc")
+
     def test_missing_task_flagged(self, two_cluster_graph):
         app, placement = self.clean_run(two_cluster_graph)
         del placement.task_locations["b"]

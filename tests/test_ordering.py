@@ -214,10 +214,7 @@ class TestOrderTasks:
 
     def test_cycle_rejected(self, two_cluster_graph):
         app = make_app([make_task("a"), make_task("b")],
-                       [make_edge("a", "b")])
-        app.children["b"].append("a")
-        app.parents["a"].append("b")
-        app.out_degree["b"] = 1
+                       [make_edge("a", "b"), make_edge("b", "a")])
         with pytest.raises(OrderingError):
             task_levels(app)
 

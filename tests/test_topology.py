@@ -2,16 +2,18 @@
 
 import itertools
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fogsched.placement import ResourceMatrix
 from fogsched.topology import (EnvConfig, GraphConfigError, NoPath, NodeId,
                                build_graph, hop_distance, nodes_within_hops,
                                shortest_path)
 
-from conftest import CLOUD_ID, fn, make_graph
+from conftest import CLOUD_ID, fci, fn, make_graph
 
 
 SMALL_ENV = dict(fns=8, fcis=3, cpu=(4, 8), mem_mb=(500, 1000),
@@ -147,6 +149,72 @@ class TestShortestPath:
         assert isinstance(rerouted, NoPath) or key not in rerouted.links
 
 
+def _reachable(g, rm, a, b, demand):
+    """BFS from a over the links whose residual bandwidth meets the demand."""
+    seen = {a}
+    queue = deque([a])
+    while queue:
+        node = queue.popleft()
+        for neighbor, link in g.adjacency.get(node, ()):
+            if neighbor not in seen and rm.residual_bw(link.key) >= demand:
+                seen.add(neighbor)
+                queue.append(neighbor)
+    return b in seen
+
+
+@given(seed=st.integers(0, 10_000), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_nopath_iff_no_feasible_route(seed, data):
+    """Against a BFS over the links with enough residual: NoPath exactly when
+    b is unreachable from a, and a returned path meets the demand on every
+    link. One node may have every link drained to residual 0."""
+    g = build_graph(EnvConfig(fns=data.draw(st.integers(2, 6)),
+                              fcis=data.draw(st.integers(1, 3)),
+                              fci_link_probability=0.5,
+                              fn_cloud_link_probability=0.3), seed=seed)
+    rm = ResourceMatrix.from_graph(g)
+    for key, cap in rm.capacity_bw.items():
+        rm.held_bw[key] = cap * data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]))
+    nodes = sorted(g.adjacency)
+    drained = data.draw(st.sampled_from([None] + nodes))
+    if drained is not None:
+        for _, link in g.adjacency[drained]:
+            rm.held_bw[link.key] = rm.effective_bw[link.key]
+    residuals = sorted({rm.residual_bw(k) for k in rm.capacity_bw} - {0.0})
+    # An exact residual as the demand puts some links right at the boundary.
+    demand = data.draw(st.floats(1.0, 1200.0) | st.sampled_from(residuals or [1.0]))
+    for a, b in itertools.permutations(nodes, 2):
+        got = shortest_path(g, a, b, demand, residual_bw=rm.bw_view())
+        if isinstance(got, NoPath):
+            assert not _reachable(g, rm, a, b, demand), (a, b)
+        else:
+            assert got.nodes[0] == a and got.nodes[-1] == b
+            assert all(rm.residual_bw(k) >= demand for k in got.links)
+        if drained in (a, b):
+            assert isinstance(got, NoPath)
+
+
+class TestEndpointPrecheck:
+    def test_endpoint_without_feasible_link(self, two_cluster_graph):
+        g = two_cluster_graph
+        rm = ResourceMatrix.from_graph(g)
+        (_, link), = g.adjacency[fn(3)]
+        rm.held_bw[link.key] = rm.effective_bw[link.key] - 99.0
+        for a, b in ((fn(0), fn(3)), (fn(3), fn(0))):
+            assert isinstance(shortest_path(g, a, b, 100.0, rm.bw_view()), NoPath)
+            assert not isinstance(shortest_path(g, a, b, 99.0, rm.bw_view()), NoPath)
+
+    def test_endpoint_without_links(self):
+        # fci-1 has no fog node, no backbone link and no cloud link.
+        g = make_graph(fn_caps=[(8, 800), (8, 800)], clusters=[0, 2],
+                       fci_links=[(0, 2)], cloud_fcis=[0, 2])
+        assert fci(1) not in g.adjacency
+        for a, b in ((fci(1), fn(0)), (fn(0), fci(1)), (fn(99), CLOUD_ID)):
+            result = shortest_path(g, a, b, 1.0)
+            assert isinstance(result, NoPath)
+            assert (result.src, result.dst) == (a, b)
+
+
 class TestBuildGraph:
     def test_deterministic_in_config_and_seed(self):
         env = EnvConfig(**SMALL_ENV)
@@ -213,3 +281,12 @@ class TestNodeId:
     def test_parse_rejects_unknown_tier(self):
         with pytest.raises(ValueError):
             NodeId.parse("mist-1")
+
+    def test_hash_order_and_repr_match_the_plain_tuple(self):
+        assert hash(NodeId("fog", 3)) == hash(("fog", 3))
+        assert repr(NodeId("fog", 3)) == "NodeId(tier='fog', index=3)"
+        mixed = [fn(10), NodeId("fci", 1), CLOUD_ID, fn(2), NodeId("fci", 0)]
+        assert sorted(mixed) == [CLOUD_ID, NodeId("fci", 0), NodeId("fci", 1),
+                                 fn(2), fn(10)]
+        assert fn(2) < fn(10) and NodeId("fci", 9) < fn(0)
+        assert str(fn(10)) == "fog-10"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fogsched.ordering import task_levels
 from fogsched.topology import EnvConfig, build_graph
 from fogsched.workload import (Application, WorkloadConfig, WorkloadError,
                                application_to_dict, generate_workload,
@@ -181,9 +182,11 @@ class TestApplicationDerivedState:
     def test_degrees_and_adjacency(self):
         app = make_app([make_task("a"), make_task("b"), make_task("c")],
                        [make_edge("a", "b"), make_edge("a", "c")])
-        assert app.out_degree == {"a": 2, "b": 0, "c": 0}
-        assert sorted(app.children["a"]) == ["b", "c"]
-        assert app.parents["b"] == ["a"]
+        children = app.children()
+        assert {t: len(c) for t, c in children.items()} == {"a": 2, "b": 0, "c": 0}
+        assert sorted(children["a"]) == ["b", "c"]
+        assert [t for t, c in children.items() if "b" in c] == ["a"]
+        assert task_levels(app) == [["b", "c"], ["a"]]
 
     def test_config_range_validation(self):
         with pytest.raises(WorkloadError):
