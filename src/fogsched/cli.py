@@ -12,6 +12,7 @@ import datetime
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -41,8 +42,22 @@ class CliConfigError(ValueError):
     pass
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: a number that is neither NaN nor inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
+
+
 def _scaled(count: int, scale: float) -> int:
-    return max(1, round(count * scale))
+    scaled = count * scale
+    if not math.isfinite(scaled):
+        raise CliConfigError(f"--scale {scale} overflows the preset's counts")
+    return max(1, round(scaled))
 
 
 def preset_config(name: str, scale: float = 1.0) -> tuple[EnvConfig, WorkloadConfig]:
@@ -388,21 +403,21 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workload", help="workload config JSON")
     run.add_argument("--preset", choices=["large-default"],
                      help="named default configuration")
-    run.add_argument("--scale", type=float, default=1.0,
+    run.add_argument("--scale", type=_finite_float, default=1.0,
                      help="uniform entity-count scale for the preset")
     run.add_argument("--algo", default="herafc", choices=list(ALGORITHMS))
     run.add_argument("--weights", help="three comma-separated ordering weights")
-    run.add_argument("--delta", type=float, default=0.001,
+    run.add_argument("--delta", type=_finite_float, default=0.001,
                      help="out-degree smoothing constant")
-    run.add_argument("--big-delta", type=float, default=0.5,
+    run.add_argument("--big-delta", type=_finite_float, default=0.5,
                      help="fog-preference constant in (0,1)")
-    run.add_argument("--fluctuate-interval", type=float, default=None,
+    run.add_argument("--fluctuate-interval", type=_finite_float, default=None,
                      help="availability fluctuation interval (simulated s)")
     run.add_argument("--fluctuate-range", default=None,
                      help="availability multiplier range LO,HI")
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--replications", type=int, default=1)
-    run.add_argument("--admission-interval", type=float, default=1.0,
+    run.add_argument("--admission-interval", type=_finite_float, default=1.0,
                      help="simulated ms between app admissions")
     run.add_argument("--out", required=False, help="output directory")
     run.add_argument("--emit-objective", action="store_true",
@@ -413,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--app", required=True, help="application JSON file")
     oracle.add_argument("--env", help="environment config JSON")
     oracle.add_argument("--preset", choices=["large-default"])
-    oracle.add_argument("--scale", type=float, default=1.0)
+    oracle.add_argument("--scale", type=_finite_float, default=1.0)
     oracle.add_argument("--seed", type=int, default=42)
     oracle.add_argument("--max-tasks", type=int, default=6)
     oracle.add_argument("--max-nodes", type=int, default=5)

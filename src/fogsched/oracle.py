@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .ordering import order_tasks, task_levels
-from .placement import (Placement, ResourceMatrix, herafc_place,
-                        map_level_edges, reset_rm)
+from .placement import (Placement, ResourceMatrix, edges_by_level,
+                        herafc_place, map_level_edges, reset_rm)
 from .objective import DEFAULT_BIG_DELTA, eval_mfc
 from .topology import NoPath, NodeId, PhysicalPath, ResourceGraph, shortest_path
 from .workload import Application
@@ -58,16 +58,17 @@ def map_assignment_edges(app: Application, graph: ResourceGraph,
                          levels: list[list[str]]):
     """Map a fixed assignment's edges as the heuristic does, on `rm`.
 
-    Levels are taken root first. Each level's tasks are located before its
-    edges are mapped, so every edge is mapped at the later of its endpoints'
-    levels, and each level is undone before the next. Returns the edge paths,
-    or None if some edge has no bandwidth-feasible path. `rm` ends as passed.
+    Levels are taken root first, and every edge is mapped at the later of
+    its endpoints' levels, after that level's tasks are located. Each level
+    is undone before the next. Returns the edge paths, or None if some edge
+    has no bandwidth-feasible path. `rm` ends as passed.
     """
     placement = Placement(app_id=app.id, home_fn=app.home_fn)
-    for level in reversed(levels):
+    placing = levels[::-1]
+    for level, edges in zip(placing, edges_by_level(app, placing)):
         placement.task_locations.update((t, assignment[t]) for t in level)
         log = rm.snapshot()
-        map_level_edges(level, app, placement, graph, rm, log)
+        map_level_edges(edges, placement, graph, rm, log)
         reset_rm(rm, log)
         if placement.unmapped:
             return None

@@ -76,13 +76,10 @@ def normalize_resource(app: Application, graph: ResourceGraph,
     """
     if not app.tasks:
         raise OrderingError("application has no tasks")
-    cpu_caps = [fn.cpu_capacity for fn in graph.fns]
-    mem_caps = [fn.mem_capacity for fn in graph.fns]
-    if include_cloud or not cpu_caps:
-        cpu_caps = cpu_caps + [graph.cloud.cpu_capacity]
-        mem_caps = mem_caps + [graph.cloud.mem_capacity]
-    max_cpu = max(cpu_caps)
-    max_mem = max(mem_caps)
+    max_cpu, max_mem = graph.max_fn_cpu, graph.max_fn_mem
+    if include_cloud or not graph.fns:
+        max_cpu = max(max_cpu, graph.cloud.cpu_capacity)
+        max_mem = max(max_mem, graph.cloud.mem_capacity)
     if max_cpu <= 0 or max_mem <= 0:
         raise OrderingError("graph has no positive capacity to normalize against")
     out = {}
@@ -110,8 +107,12 @@ def mean_critical_value(wv: float, out_degree: int,
 
 def task_levels(app: Application) -> list[list[str]]:
     """Precedence levels: leaves at level 0, parent = 1 + max child level."""
+    return _levels(app, app.children())
+
+
+def _levels(app: Application, children: dict[str, list[str]]) -> list[list[str]]:
+    """task_levels over child lists built by the caller."""
     level: dict[str, int] = {}
-    children = app.children()
     remaining = {t.id: len(children[t.id]) for t in app.tasks}
     parents: dict[str, list[str]] = {t: [] for t in remaining}
     for t in remaining:
@@ -150,7 +151,7 @@ def order_tasks(app: Application, graph: ResourceGraph,
     children = app.children()
     mcv = {t: mean_critical_value(wv[t], len(children[t]), delta)
            for t in wv}
-    levels = task_levels(app)
+    levels = _levels(app, children)
     for level in levels:
         level.sort(key=lambda t: (mcv[t], t))
     return ProcessQueue(levels=levels, mcv=mcv, wv=wv)

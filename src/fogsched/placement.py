@@ -3,8 +3,8 @@
 Levels are consumed root-first (LIFO over the level queue), tasks within a
 level in descending mean-critical-value order. Each task is first-fit against
 the app's home fog node, then the fog nodes 1 hop from it, then those 2 hops
-from it, and finally the cloud. Task edges adjacent to the level are mapped
-on latency-shortest bandwidth-feasible paths.
+from it, and finally the cloud. Each edge is mapped once, at the later of
+its endpoints' levels, on a latency-shortest bandwidth-feasible path.
 
 Each level debits the live resource matrix and records a level log: the
 amount debited per node and link, and the exact held value each key's first
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .ordering import ProcessQueue
 from .topology import (FOG, NoPath, NodeId, PhysicalPath, ResourceGraph,
                        nodes_within_hops, shortest_path)
-from .workload import Application, Task
+from .workload import Application, Task, TaskEdge
 
 
 class PlacementError(ValueError):
@@ -243,28 +243,36 @@ def _candidate_stages(graph: ResourceGraph, home: NodeId):
     return stages
 
 
-def map_level_edges(level_tasks, app: Application, placement: Placement,
-                    graph: ResourceGraph, rm: ResourceMatrix,
-                    log: LevelLog) -> None:
-    """Map edges adjacent to a level, descending by bandwidth demand.
+def edges_by_level(app: Application, levels) -> list[list[TaskEdge]]:
+    """Each task edge at the later of its endpoints' levels in placing order.
 
-    Edges whose other endpoint is not located yet are skipped here and mapped
-    once that endpoint's level is processed; edges with a rejected endpoint
-    are recorded as ignored. Bandwidth is debited from `rm` into `log`.
+    `levels` holds every task of the app once. Each level's edges are sorted
+    by descending bandwidth demand, then key: the order they are mapped in.
     """
-    level_set = set(level_tasks)
-    rejected = {t for t, _ in placement.rejected}
-    adjacent = [e for e in app.edges
-                if (e.src in level_set or e.dst in level_set)
-                and e.key not in placement.edge_paths
-                and e.key not in placement.unmapped
-                and e.key not in placement.ignored]
-    adjacent.sort(key=lambda e: (-e.bandwidth_demand, e.key))
-    for edge in adjacent:
-        src_loc = placement.task_locations.get(edge.src)
-        dst_loc = placement.task_locations.get(edge.dst)
+    level_of = {t: k for k, level in enumerate(levels) for t in level}
+    by_level: list[list[TaskEdge]] = [[] for _ in levels]
+    for edge in app.edges:
+        by_level[max(level_of[edge.src], level_of[edge.dst])].append(edge)
+    for edges in by_level:
+        edges.sort(key=lambda e: (-e.bandwidth_demand, e.key))
+    return by_level
+
+
+def map_level_edges(edges, placement: Placement, graph: ResourceGraph,
+                    rm: ResourceMatrix, log: LevelLog) -> None:
+    """Map one level's edges (see edges_by_level) in the given order.
+
+    An edge with a rejected endpoint is recorded as ignored. Every other edge
+    gets its latency-shortest path with enough residual bandwidth, or is
+    recorded as unmapped. Bandwidth is debited from `rm` into `log`.
+    """
+    locations = placement.task_locations
+    residual_bw = rm.bw_view()
+    for edge in edges:
+        src_loc = locations.get(edge.src)
+        dst_loc = locations.get(edge.dst)
         if src_loc is None or dst_loc is None:
-            if edge.src in rejected or edge.dst in rejected:
+            if any(t in (edge.src, edge.dst) for t, _ in placement.rejected):
                 placement.ignored.add(edge.key)
             continue
         if src_loc == dst_loc:
@@ -273,7 +281,7 @@ def map_level_edges(level_tasks, app: Application, placement: Placement,
                 min_bandwidth=math.inf, hop_count=0)
             continue
         path = shortest_path(graph, src_loc, dst_loc, edge.bandwidth_demand,
-                             residual_bw=rm.bw_view())
+                             residual_bw=residual_bw)
         if isinstance(path, NoPath):
             placement.unmapped[edge.key] = (
                 f"no path with residual bandwidth >= {edge.bandwidth_demand:.3f}")
@@ -284,9 +292,9 @@ def map_level_edges(level_tasks, app: Application, placement: Placement,
 
 
 def _place_once(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
-                levels, pinned: str | None, stages) -> Placement:
+                levels, level_edges, pinned: str | None, stages) -> Placement:
     placement = Placement(app_id=app.id, home_fn=app.home_fn, pinned_task=pinned)
-    for level in levels:
+    for level, edges in zip(levels, level_edges):
         ordered = list(level)
         if pinned in level:
             ordered.remove(pinned)
@@ -308,7 +316,7 @@ def _place_once(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
                 continue
             rm.debit_task(task, node, log)
             placement.task_locations[tid] = node
-        map_level_edges(level, app, placement, graph, rm, log)
+        map_level_edges(edges, placement, graph, rm, log)
         reset_rm(rm, log)
         placement.envelope.raise_to(log)
         placement.level_order.append(ordered)
@@ -325,12 +333,15 @@ def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
     order. Each level is placed on the live `rm` and undone before the next,
     so `rm` ends exactly as it was passed. Every task is first-fit against
     `stages`, a sequence of candidate-location sequences tried in order.
+    `levels` holds every task of the app once; each task edge is mapped at
+    the later of its endpoints' levels.
 
     Guarantees at least one task on the app's home fog node whenever any task
     could fit there (re-running with the fitting task of highest `pin_rank`
     pinned); otherwise the placement is marked home_pin_infeasible.
     """
-    placement = _place_once(app, graph, rm, levels, None, stages)
+    level_edges = edges_by_level(app, levels)
+    placement = _place_once(app, graph, rm, levels, level_edges, None, stages)
     if app.home_fn in placement.task_locations.values():
         return placement
     fitting = [t for t in app.tasks if rm.fits(t, app.home_fn)]
@@ -338,7 +349,7 @@ def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
         placement.home_pin_infeasible = True
         return placement
     pinned = max(fitting, key=lambda t: (pin_rank[t.id], t.id)).id
-    second = _place_once(app, graph, rm, levels, pinned, stages)
+    second = _place_once(app, graph, rm, levels, level_edges, pinned, stages)
     if app.home_fn not in second.task_locations.values():
         second.home_pin_infeasible = True
     return second

@@ -184,6 +184,9 @@ class ResourceGraph:
         self.capacity_mem: dict[NodeId, int] = {fn.id: fn.mem_capacity for fn in self.fns}
         self.capacity_cpu[self.cloud.id] = self.cloud.cpu_capacity
         self.capacity_mem[self.cloud.id] = self.cloud.mem_capacity
+        # The largest FN capacities (0 without FNs): ordering's normalizers.
+        self.max_fn_cpu: int = max((fn.cpu_capacity for fn in self.fns), default=0)
+        self.max_fn_mem: int = max((fn.mem_capacity for fn in self.fns), default=0)
         self.adjacency: dict[NodeId, list[tuple[NodeId, Link]]] = {}
         self.link_by_key: dict[tuple[NodeId, NodeId], Link] = {}
         for link in self.links:
@@ -339,21 +342,33 @@ def hop_distance(g: ResourceGraph, a: NodeId, b: NodeId):
 
 
 def nodes_within_hops(g: ResourceGraph, origins, h: int) -> set[NodeId]:
-    """All FN/cloud locations within h hops of any origin, excluding origins."""
+    """All FN/cloud locations within h hops of any origin, excluding origins.
+
+    From a fog origin, an FN is within h hops when its FCI is within h - 1
+    FCI-FCI links of the origin's FCI, so the set is read off the FCI graph.
+    """
     if h not in (1, 2):
         raise ValueError("h must be 1 or 2")
     origins = set(origins)
     if not origins:
         raise ValueError("origins must be nonempty")
     result: set[NodeId] = set()
+    cloud = g.cloud.id
     for origin in origins:
-        for candidate in g.locations():
-            if candidate in origins:
-                continue
-            d = hop_distance(g, origin, candidate)
-            if d is not None and d <= h:
-                result.add(candidate)
-    return result
+        if origin.tier == CLOUD:
+            for candidate in g.locations():
+                d = hop_distance(g, origin, candidate)
+                if d is not None and d <= h:
+                    result.add(candidate)
+            continue
+        # Raises for an FCI origin and for an unknown fog node.
+        d = hop_distance(g, origin, cloud)
+        if d is not None and d <= h:
+            result.add(cloud)
+        for fci, dist in g._fci_distances(g.fci_of[origin]).items():
+            if dist < h:
+                result.update(g.fns_by_fci[fci])
+    return result - origins
 
 
 def shortest_path(g: ResourceGraph, a: NodeId, b: NodeId,

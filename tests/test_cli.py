@@ -88,6 +88,51 @@ class TestRun:
                              "--weights", "0.5,0.5,0.5")) == 2
 
 
+RUN_FLOAT_FLAGS = ("--scale", "--delta", "--big-delta", "--fluctuate-interval",
+                   "--admission-interval")
+
+
+class TestNonFiniteFloatFlags:
+    """Every float flag refuses NaN and +-inf at parse time: exit code 2,
+    an argparse message and no traceback. So does a finite --scale whose
+    preset counts overflow."""
+
+    def assert_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", RUN_FLOAT_FLAGS)
+    def test_run_flags(self, flag, value, tmp_path, capsys):
+        self.assert_refused(["run", "--preset", "large-default",
+                             f"{flag}={value}", "--out", str(tmp_path / "o")],
+                            capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_oracle_scale(self, value, tmp_path, capsys):
+        self.assert_refused(["oracle", "--app", str(tmp_path / "app.json"),
+                             "--preset", "large-default", f"--scale={value}"],
+                            capsys)
+
+    def test_overflowing_scale_refused(self, tmp_path, capsys):
+        assert main(["run", "--preset", "large-default", "--scale", "1e308",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+
+    def test_non_number_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "large-default", "--scale", "big",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not a number" in err and "Traceback" not in err
+
+
 class TestOracle:
     def app_doc(self, tmp_path, n_tasks=2):
         tasks = [make_task(f"t{i}", cpu=1, mem=100) for i in range(n_tasks)]

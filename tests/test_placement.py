@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from fogsched.objective import check_constraints
 from fogsched.ordering import order_tasks
+from fogsched import placement as placement_module
 from fogsched.placement import (Envelope, Placement, ResourceMatrix,
                                 _candidate_stages, herafc_place,
-                                map_level_edges, reset_rm, try_deploy)
+                                map_level_edges, place_levels, reset_rm,
+                                try_deploy)
 from fogsched.simkit import (FluctuationConfig, apply_fluctuation,
                              baseline_cloud_first)
-from fogsched.topology import CLOUD, EnvConfig, build_graph, hop_distance
+from fogsched.topology import (CLOUD, EnvConfig, NoPath, PhysicalPath,
+                               build_graph, hop_distance, shortest_path)
 from fogsched.workload import WorkloadConfig, generate_workload
 
 from conftest import CLOUD_ID, fn, make_app, make_edge, make_graph, make_task
@@ -113,7 +116,7 @@ class TestMapLevelEdges:
         before = dict(rm.held_bw)
         app, placement = self.app_on(two_cluster_graph,
                                      {"a": fn(0), "b": fn(0)})
-        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm,
+        map_level_edges(app.edges, placement, two_cluster_graph, rm,
                         rm.snapshot())
         path = placement.edge_paths[("a", "b")]
         assert path.total_latency == 0.0
@@ -124,7 +127,7 @@ class TestMapLevelEdges:
         rm = ResourceMatrix.from_graph(two_cluster_graph)
         app, placement = self.app_on(two_cluster_graph,
                                      {"a": fn(0), "b": fn(1)}, bw=150.0)
-        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm,
+        map_level_edges(app.edges, placement, two_cluster_graph, rm,
                         rm.snapshot())
         path = placement.edge_paths[("a", "b")]
         assert len(path.links) == 2  # via the shared FCI
@@ -135,7 +138,7 @@ class TestMapLevelEdges:
         rm = ResourceMatrix.from_graph(two_cluster_graph)
         app, placement = self.app_on(two_cluster_graph,
                                      {"a": fn(0), "b": fn(1)}, bw=10_000.0)
-        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm,
+        map_level_edges(app.edges, placement, two_cluster_graph, rm,
                         rm.snapshot())
         assert ("a", "b") in placement.unmapped
         assert "bandwidth" in placement.unmapped[("a", "b")]
@@ -146,7 +149,7 @@ class TestMapLevelEdges:
         app, placement = self.app_on(two_cluster_graph,
                                      {"a": fn(0), "b": fn(1)})
         app.edges[0].max_latency = 1.0  # path costs 120 ms
-        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm,
+        map_level_edges(app.edges, placement, two_cluster_graph, rm,
                         rm.snapshot())
         assert ("a", "b") in placement.edge_paths
         assert [(code, entity) for code, entity, _ in check_constraints(
@@ -157,7 +160,7 @@ class TestMapLevelEdges:
         app, placement = self.app_on(two_cluster_graph, {"a": fn(0), "b": fn(1)})
         del placement.task_locations["b"]
         placement.rejected.append(("b", "no capacity"))
-        map_level_edges(["a", "b"], app, placement, two_cluster_graph, rm,
+        map_level_edges(app.edges, placement, two_cluster_graph, rm,
                         rm.snapshot())
         assert ("a", "b") in placement.ignored
         assert ("a", "b") not in placement.unmapped
@@ -397,3 +400,112 @@ def test_placement_undoes_every_level_exactly(seed):
             assert list(got.envelope.mem.items()) == peak(l.mem for l in logs)
             assert list(got.envelope.bw.items()) == peak(l.bw for l in logs)
             rm.hold(got.envelope)
+
+
+def reference_map_level_edges(level_tasks, app, placement, graph, rm, log):
+    """The per-level scan map_level_edges replaced, kept as a reference: at
+    every level, scan all of the app's edges for those adjacent to the level
+    and not yet mapped, unmapped or ignored, and map those whose endpoints
+    are both located."""
+    level_set = set(level_tasks)
+    rejected = {t for t, _ in placement.rejected}
+    adjacent = [e for e in app.edges
+                if (e.src in level_set or e.dst in level_set)
+                and e.key not in placement.edge_paths
+                and e.key not in placement.unmapped
+                and e.key not in placement.ignored]
+    adjacent.sort(key=lambda e: (-e.bandwidth_demand, e.key))
+    for edge in adjacent:
+        src_loc = placement.task_locations.get(edge.src)
+        dst_loc = placement.task_locations.get(edge.dst)
+        if src_loc is None or dst_loc is None:
+            if edge.src in rejected or edge.dst in rejected:
+                placement.ignored.add(edge.key)
+            continue
+        if src_loc == dst_loc:
+            placement.edge_paths[edge.key] = PhysicalPath(
+                nodes=(src_loc,), total_latency=0.0,
+                min_bandwidth=math.inf, hop_count=0)
+            continue
+        path = shortest_path(graph, src_loc, dst_loc, edge.bandwidth_demand,
+                             residual_bw=rm.bw_view())
+        if isinstance(path, NoPath):
+            placement.unmapped[edge.key] = (
+                f"no path with residual bandwidth >= {edge.bandwidth_demand:.3f}")
+            continue
+        for key in path.links:
+            rm.debit_link(key, edge.bandwidth_demand, log)
+        placement.edge_paths[edge.key] = path
+
+
+def placement_record(got):
+    return (list(got.task_locations.items()),
+            [(key, path.nodes, path.total_latency, path.min_bandwidth,
+              path.hop_count) for key, path in got.edge_paths.items()],
+            list(got.unmapped.items()), sorted(got.ignored), got.rejected,
+            got.level_order, got.pinned_task, got.home_pin_infeasible,
+            [list(d.items()) for d in (got.envelope.cpu, got.envelope.mem,
+                                       got.envelope.bw)])
+
+
+def test_level_edge_lists_match_the_per_level_scan(monkeypatch):
+    """place_levels with each edge mapped once at its later level gives what
+    the per-level scan gave, key order included, on tight capacities.
+
+    Stages: HeRAFC's, cloud-first's, and the home FN after its 1-hop
+    neighbours. The home FN is the first stage of both algorithms, so only
+    the third list makes the home-pin re-run happen. Each app's envelope is
+    held while the next two apps are placed. Rejections, unmapped and
+    ignored edges and pin re-runs all occur."""
+    seen = dict(rejected=0, unmapped=0, ignored=0, pinned=0, mapped=0)
+    for seed in range(10):
+        graph = build_graph(EnvConfig(fns=6, fcis=3, cpu=(3, 6),
+                                      mem_mb=(300, 900),
+                                      bw_fn_fci_mbps=(60, 120),
+                                      bw_fci_fci_mbps=(60, 120),
+                                      bw_fci_cloud_mbps=(60, 120),
+                                      fci_link_probability=0.5,
+                                      cloud_cpu=12, cloud_mem_mb=3000), seed)
+        cfg = WorkloadConfig(app_count=8, tasks_per_app=(3, 8), cpu=(1, 4),
+                             mem_mb=(100, 500), edge_bandwidth_mbps=(20, 70),
+                             link_probability=0.5, max_total_tasks=100)
+        rm_new = loaded_matrix(graph, random.Random(seed))
+        rm_ref = loaded_matrix(graph, random.Random(seed))
+        held = []
+        for app in generate_workload(cfg, graph, seed):
+            queue = order_tasks(app, graph)
+            home, one_hop, two_hop, cloud = _candidate_stages(graph, app.home_fn)
+            herafc_levels = [sorted(level, key=lambda t: (-queue.mcv[t], t))
+                             for level in reversed(queue.levels)]
+            runs = ((herafc_levels, (home, one_hop, two_hop, cloud)),
+                    ([sorted(t.id for t in app.tasks)], (home, cloud)),
+                    (herafc_levels, (one_hop, home, two_hop, cloud)))
+            for levels, stages in runs:
+                got = place_levels(app, graph, rm_new, levels, queue.wv, stages)
+
+                def scan(edges, placement, graph_, rm_, log):
+                    level = levels[len(placement.level_order)]
+                    reference_map_level_edges(level, app, placement, graph_,
+                                              rm_, log)
+
+                with monkeypatch.context() as m:
+                    m.setattr(placement_module, "map_level_edges", scan)
+                    want = place_levels(app, graph, rm_ref, levels, queue.wv,
+                                        stages)
+                assert placement_record(got) == placement_record(want)
+                assert matrix_state(rm_new) == matrix_state(rm_ref)
+                seen["rejected"] += len(got.rejected)
+                seen["unmapped"] += len(got.unmapped)
+                seen["ignored"] += len(got.ignored)
+                seen["pinned"] += got.pinned_task is not None
+                seen["mapped"] += sum(len(p.nodes) > 1
+                                      for p in got.edge_paths.values())
+            rm_new.hold(got.envelope)
+            rm_ref.hold(want.envelope)
+            held.append((got.envelope, want.envelope))
+            if len(held) > 2:
+                old_new, old_ref = held.pop(0)
+                rm_new.release(old_new)
+                rm_ref.release(old_ref)
+            assert matrix_state(rm_new) == matrix_state(rm_ref)
+    assert all(seen.values()), seen

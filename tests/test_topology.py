@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsched.placement import ResourceMatrix
-from fogsched.topology import (EnvConfig, GraphConfigError, NoPath, NodeId,
-                               build_graph, hop_distance, nodes_within_hops,
-                               shortest_path)
+from fogsched.topology import (CloudNode, EnvConfig, FogNode, GraphConfigError,
+                               Link, NoPath, NodeId, ResourceGraph, build_graph,
+                               hop_distance, nodes_within_hops, shortest_path)
 
 from conftest import CLOUD_ID, fci, fn, make_graph
 
@@ -84,6 +84,51 @@ class TestNodesWithinHops:
     def test_empty_origins_rejected(self, two_cluster_graph):
         with pytest.raises(ValueError):
             nodes_within_hops(two_cluster_graph, set(), 1)
+
+
+@st.composite
+def hop_graphs(draw):
+    """Small hand-built graphs: any FCI-FCI links, a subset of FCIs linked to
+    the cloud, a subset of FNs linked to it directly, possibly empty FCIs."""
+    n_fcis = draw(st.integers(1, 5))
+    n_fns = draw(st.integers(1, 7))
+    fcis = [fci(i) for i in range(n_fcis)]
+    clusters = draw(st.lists(st.integers(0, n_fcis - 1),
+                             min_size=n_fns, max_size=n_fns))
+    fns = [FogNode(id=fn(i), cpu_capacity=8, mem_capacity=800, mips=4000,
+                   attached_fci=fcis[c]) for i, c in enumerate(clusters)]
+    links = [Link((node.id, node.attached_fci), 350.0, 60.0) for node in fns]
+    pairs = list(itertools.combinations(range(n_fcis), 2))
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)
+                     if pairs else st.just([])):
+        links.append(Link((fcis[i], fcis[j]), 500.0, 120.0))
+    for i in draw(st.sets(st.integers(0, n_fcis - 1))):
+        links.append(Link((fcis[i], CLOUD_ID), 800.0, 150.0))
+    for i in draw(st.sets(st.integers(0, n_fns - 1))):
+        links.append(Link((fn(i), CLOUD_ID), 800.0, 150.0))
+    cloud = CloudNode(id=CLOUD_ID, cpu_capacity=10**6, mem_capacity=10**9)
+    return ResourceGraph(fns=fns, fcis=fcis, cloud=cloud, links=links)
+
+
+@given(g=hop_graphs(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_nodes_within_hops_matches_brute_force(g, data):
+    """The FCI-graph derivation against hop_distance over every location,
+    for single FN, cloud and multi-origin sets."""
+    locations = g.locations()
+    origin_sets = [{fn(0)}, {CLOUD_ID},
+                   data.draw(st.sets(st.sampled_from(locations),
+                                     min_size=2, max_size=4))]
+    for origins in origin_sets:
+        for h in (1, 2):
+            want = {c for c in locations if c not in origins
+                    and any((d := hop_distance(g, o, c)) is not None and d <= h
+                            for o in origins)}
+            assert nodes_within_hops(g, origins, h) == want
+    for bad in (fci(0), fn(len(g.fns))):
+        for origins in ({bad}, {fn(0), bad}, {CLOUD_ID, bad}):
+            with pytest.raises(ValueError):
+                nodes_within_hops(g, origins, data.draw(st.sampled_from([1, 2])))
 
 
 def _all_simple_paths(g, a, b, required_bw):
