@@ -45,7 +45,6 @@ class ProcessQueue:
     """Levels of task ids; level 0 holds the leaves, roots sit on top."""
     levels: list[list[str]]
     mcv: dict[str, float]
-    wv: dict[str, float]
 
     def level_of(self) -> dict[str, int]:
         return {t: k for k, level in enumerate(self.levels) for t in level}
@@ -66,18 +65,17 @@ def normalize_priority(app: Application) -> dict[str, float]:
 
 
 def normalize_resource(app: Application, graph: ResourceGraph,
-                       weights: Weights, include_cloud: bool = False
-                       ) -> dict[str, float]:
+                       weights: Weights) -> dict[str, float]:
     """Blend of cpu and mem demand, each normalized by the largest capacity.
 
-    By default only fog-node capacities set the normalizer; the effectively
-    infinite cloud would otherwise crush every score toward zero
-    (include_cloud=True restores that literal reading).
+    Only fog-node capacities set the normalizer, since the effectively
+    infinite cloud would crush every score toward zero; a graph without fog
+    nodes falls back to the cloud's.
     """
     if not app.tasks:
         raise OrderingError("application has no tasks")
     max_cpu, max_mem = graph.max_fn_cpu, graph.max_fn_mem
-    if include_cloud or not graph.fns:
+    if not graph.fns:
         max_cpu = max(max_cpu, graph.cloud.cpu_capacity)
         max_mem = max(max_mem, graph.cloud.mem_capacity)
     if max_cpu <= 0 or max_mem <= 0:
@@ -154,4 +152,4 @@ def order_tasks(app: Application, graph: ResourceGraph,
     levels = _levels(app, children)
     for level in levels:
         level.sort(key=lambda t: (mcv[t], t))
-    return ProcessQueue(levels=levels, mcv=mcv, wv=wv)
+    return ProcessQueue(levels=levels, mcv=mcv)

@@ -3,8 +3,9 @@
 Levels are consumed root-first (LIFO over the level queue), tasks within a
 level in descending mean-critical-value order. Each task is first-fit against
 the app's home fog node, then the fog nodes 1 hop from it, then those 2 hops
-from it, and finally the cloud. Each edge is mapped once, at the later of
-its endpoints' levels, on a latency-shortest bandwidth-feasible path.
+from it, and finally the cloud, in one pass per app. Each edge is mapped
+once, at the later of its endpoints' levels, on a latency-shortest
+bandwidth-feasible path.
 
 Each level debits the live resource matrix and records a level log: the
 amount debited per node and link, and the exact held value each key's first
@@ -203,6 +204,8 @@ class Placement:
     level_order: list[list[str]] = field(default_factory=list)
     envelope: Envelope = field(default_factory=Envelope)
     level_durations: list[float] = field(default_factory=list)
+    # Always None: no task is ever pinned. perfbench/harness.py's
+    # Probe.record is its only reader.
     pinned_task: str | None = None
     home_pin_infeasible: bool = False
 
@@ -229,8 +232,8 @@ def try_deploy(task: Task, candidates, rm: ResourceMatrix):
 
 
 def _candidate_stages(graph: ResourceGraph, home: NodeId):
-    """Candidate stages around an app's home FN: the home FN, the fog nodes
-    1 hop from it, those 2 hops from it, then the cloud. Memoised per home FN."""
+    """Candidate stages after an app's home FN: the fog nodes 1 hop from it,
+    those 2 hops from it, then the cloud. Memoised per home FN."""
     stages = graph._stages_cache.get(home)
     if stages is None:
         one_hop = tuple(n for n in sorted(nodes_within_hops(graph, (home,), 1))
@@ -238,7 +241,7 @@ def _candidate_stages(graph: ResourceGraph, home: NodeId):
         near = set(one_hop)
         two_hop = tuple(n for n in sorted(nodes_within_hops(graph, (home,), 2))
                         if n.tier == FOG and n not in near)
-        stages = ((home,), one_hop, two_hop, (graph.cloud.id,))
+        stages = (one_hop, two_hop, (graph.cloud.id,))
         graph._stages_cache[home] = stages
     return stages
 
@@ -262,9 +265,10 @@ def map_level_edges(edges, placement: Placement, graph: ResourceGraph,
                     rm: ResourceMatrix, log: LevelLog) -> None:
     """Map one level's edges (see edges_by_level) in the given order.
 
-    An edge with a rejected endpoint is recorded as ignored. Every other edge
-    gets its latency-shortest path with enough residual bandwidth, or is
-    recorded as unmapped. Bandwidth is debited from `rm` into `log`.
+    By then each endpoint is either located or rejected, so an edge with an
+    unlocated endpoint is recorded as ignored. Every other edge gets its
+    latency-shortest path with enough residual bandwidth, or is recorded as
+    unmapped. Bandwidth is debited from `rm` into `log`.
     """
     locations = placement.task_locations
     residual_bw = rm.bw_view()
@@ -272,8 +276,7 @@ def map_level_edges(edges, placement: Placement, graph: ResourceGraph,
         src_loc = locations.get(edge.src)
         dst_loc = locations.get(edge.dst)
         if src_loc is None or dst_loc is None:
-            if any(t in (edge.src, edge.dst) for t, _ in placement.rejected):
-                placement.ignored.add(edge.key)
+            placement.ignored.add(edge.key)
             continue
         if src_loc == dst_loc:
             placement.edge_paths[edge.key] = PhysicalPath(
@@ -291,25 +294,27 @@ def map_level_edges(edges, placement: Placement, graph: ResourceGraph,
         placement.edge_paths[edge.key] = path
 
 
-def _place_once(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
-                levels, level_edges, pinned: str | None, stages) -> Placement:
-    placement = Placement(app_id=app.id, home_fn=app.home_fn, pinned_task=pinned)
-    for level, edges in zip(levels, level_edges):
-        ordered = list(level)
-        if pinned in level:
-            ordered.remove(pinned)
-            ordered.insert(0, pinned)
+def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
+                 levels, stages) -> Placement:
+    """The placement loop every algorithm shares, one pass per app.
+
+    Levels are placed in the given order, the tasks of each in the given
+    order. Each level is placed on the live `rm` and undone before the next,
+    so `rm` ends exactly as it was passed. Every task is first-fit against
+    the app's home FN, then against `stages`, a sequence of candidate-location
+    sequences tried in order. `levels` holds every task of the app once; each
+    task edge is mapped at the later of its endpoints' levels.
+    """
+    placement = Placement(app_id=app.id, home_fn=app.home_fn)
+    stages = ((app.home_fn,), *stages)
+    for level, edges in zip(levels, edges_by_level(app, levels)):
         log = rm.snapshot()
-        for tid in ordered:
+        for tid in level:
             task = app.task_by_id[tid]
-            node = None
-            if tid == pinned and rm.fits(task, app.home_fn):
-                node = app.home_fn
-            if node is None:
-                for stage in stages:
-                    node = try_deploy(task, stage, rm)
-                    if node is not None:
-                        break
+            for stage in stages:
+                node = try_deploy(task, stage, rm)
+                if node is not None:
+                    break
             if node is None:
                 placement.rejected.append(
                     (tid, "no candidate location has capacity"))
@@ -319,48 +324,22 @@ def _place_once(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
         map_level_edges(edges, placement, graph, rm, log)
         reset_rm(rm, log)
         placement.envelope.raise_to(log)
-        placement.level_order.append(ordered)
+        placement.level_order.append(list(level))
         placement.level_durations.append(
             max((app.task_by_id[t].makespan for t in level), default=0.0))
+    # Every level starts from the admission state and tries the home FN
+    # first, so an unused home FN means no task of the app fits there.
+    placement.home_pin_infeasible = (
+        app.home_fn not in placement.task_locations.values())
     return placement
-
-
-def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
-                 levels, pin_rank, stages) -> Placement:
-    """The placement loop every algorithm shares, with the home-pin rule.
-
-    Levels are placed in the given order, the tasks of each in the given
-    order. Each level is placed on the live `rm` and undone before the next,
-    so `rm` ends exactly as it was passed. Every task is first-fit against
-    `stages`, a sequence of candidate-location sequences tried in order.
-    `levels` holds every task of the app once; each task edge is mapped at
-    the later of its endpoints' levels.
-
-    Guarantees at least one task on the app's home fog node whenever any task
-    could fit there (re-running with the fitting task of highest `pin_rank`
-    pinned); otherwise the placement is marked home_pin_infeasible.
-    """
-    level_edges = edges_by_level(app, levels)
-    placement = _place_once(app, graph, rm, levels, level_edges, None, stages)
-    if app.home_fn in placement.task_locations.values():
-        return placement
-    fitting = [t for t in app.tasks if rm.fits(t, app.home_fn)]
-    if not fitting:
-        placement.home_pin_infeasible = True
-        return placement
-    pinned = max(fitting, key=lambda t: (pin_rank[t.id], t.id)).id
-    second = _place_once(app, graph, rm, levels, level_edges, pinned, stages)
-    if app.home_fn not in second.task_locations.values():
-        second.home_pin_infeasible = True
-    return second
 
 
 def herafc_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
                  queue: ProcessQueue) -> Placement:
     """Place one application root level first, each level in descending
     mean-critical-value order, against the home FN, the 1-hop and 2-hop fog
-    nodes, then the cloud; the pin rule ranks tasks by weighted value."""
+    nodes, then the cloud."""
     levels = [sorted(level, key=lambda t: (-queue.mcv[t], t))
               for level in reversed(queue.levels)]
-    return place_levels(app, graph, rm, levels, queue.wv,
+    return place_levels(app, graph, rm, levels,
                         _candidate_stages(graph, app.home_fn))

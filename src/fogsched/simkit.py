@@ -92,19 +92,18 @@ def baseline_order(app: Application, kind: str, seed) -> ProcessQueue:
         raise SimError(f"unknown baseline order kind {kind!r}")
     for level in levels:
         level.sort(key=lambda t: (score[t], t))
-    return ProcessQueue(levels=levels, mcv=dict(score), wv=dict(score))
+    return ProcessQueue(levels=levels, mcv=score)
 
 
 def baseline_cloud_first(app: Application, graph: ResourceGraph,
                          rm: ResourceMatrix) -> Placement:
     """Naive baseline: home FN if the task fits there, otherwise the cloud.
 
-    The shared placement loop over one level in task-id order. Home is every
-    task's first stage, so a placement without it means no task fits there:
-    the pin rule then marks it home_pin_infeasible and never reads a pin rank.
+    The shared placement loop over one level in task-id order, with the
+    cloud as the only stage after the home FN.
     """
-    return place_levels(app, graph, rm, [sorted(t.id for t in app.tasks)], {},
-                        stages=((app.home_fn,), (graph.cloud.id,)))
+    return place_levels(app, graph, rm, [sorted(t.id for t in app.tasks)],
+                        ((graph.cloud.id,),))
 
 
 def apply_fluctuation(rm: ResourceMatrix, fluctuation: FluctuationConfig,

@@ -78,7 +78,10 @@ class WorkloadConfig:
             raise WorkloadError("app_count must be non-negative")
         for name in ("tasks_per_app", "cpu", "mem_mb", "makespan_ms",
                      "priority", "edge_bandwidth_mbps", "edge_latency_ms"):
-            lo, hi = getattr(self, name)
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                raise WorkloadError(f"{name} must be a [min, max] pair") from None
             if lo > hi:
                 raise WorkloadError(f"{name} range has min > max")
             if lo <= 0:
@@ -259,6 +262,9 @@ def load_application(doc: dict) -> Application:
         extra = set(raw) - task_fields
         if extra:
             raise WorkloadError(f"unknown task fields: {sorted(extra)}")
+        missing = task_fields - set(raw)
+        if missing:
+            raise WorkloadError(f"missing task fields: {sorted(missing)}")
         tasks.append(Task(id=str(raw["id"]), cpu_demand=raw["cpu"],
                           mem_demand=raw["mem_mb"], makespan=raw["makespan_ms"],
                           priority=raw["priority"]))
@@ -268,11 +274,17 @@ def load_application(doc: dict) -> Application:
         extra = set(raw) - edge_fields
         if extra:
             raise WorkloadError(f"unknown edge fields: {sorted(extra)}")
+        missing = edge_fields - set(raw)
+        if missing:
+            raise WorkloadError(f"missing edge fields: {sorted(missing)}")
         edges.append(TaskEdge(src=str(raw["src"]), dst=str(raw["dst"]),
                               bandwidth_demand=raw["bandwidth_mbps"],
                               max_latency=raw["max_latency_ms"]))
     home = doc["home_fn"]
-    home_id = NodeId.parse(home) if isinstance(home, str) else NodeId(FOG, int(home))
+    try:
+        home_id = NodeId.parse(home) if isinstance(home, str) else NodeId(FOG, int(home))
+    except ValueError:
+        raise WorkloadError(f"home_fn {home!r} is not a node id") from None
     app = Application(id=str(doc["id"]), tasks=tasks, edges=edges, home_fn=home_id)
     violations = validate_dag(app)
     if violations:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +61,14 @@ class TestRun:
         env = write_json(tmp_path / "bad.json", {**ENV_DOC, "fns": -1})
         assert main(["run", "--env", env, "--workload", configs[1],
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("value", [[3], [1, 2, 3], 3])
+    def test_range_not_a_pair(self, value, configs, tmp_path, capsys):
+        wl = write_json(tmp_path / "bad.json", {**WL_DOC, "tasks_per_app": value})
+        assert main(["run", "--env", configs[0], "--workload", wl,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "[min, max] pair" in err and "Traceback" not in err
 
     def test_unknown_config_key(self, configs, tmp_path):
         env = write_json(tmp_path / "bad.json", {**ENV_DOC, "nodes": 5})
@@ -162,6 +171,19 @@ class TestOracle:
                      "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["feasible"] is True
+
+    @pytest.mark.parametrize("part,field", [("tasks", "cpu"),
+                                            ("edges", "max_latency_ms")])
+    def test_missing_field_exit_code(self, part, field, tmp_path, capsys):
+        app = tmp_path / "app.json"
+        doc = json.loads(Path(self.app_doc(tmp_path)).read_text())
+        del doc[part][0][field]
+        write_json(app, doc)
+        code = main(["oracle", "--app", str(app),
+                     "--env", self.env_file(tmp_path), "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"missing {part[:-1]} fields" in err and "Traceback" not in err
 
     def test_oversize_instance_exit_code(self, tmp_path):
         code = main(["oracle", "--app", self.app_doc(tmp_path, n_tasks=8),

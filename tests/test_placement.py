@@ -65,22 +65,24 @@ class TestSingleTaskRouting:
 
 @pytest.mark.parametrize("seed,fn_cloud", [(1, 0.0), (2, 0.0), (3, 0.5)])
 def test_candidate_stages_follow_hop_distance(seed, fn_cloud):
-    """Home FN, the fog nodes 1 hop from it, those 2 hops from it, the cloud."""
+    """The fog nodes 1 hop from the home FN, those 2 hops from it, the cloud;
+    place_levels tries the home FN itself before them."""
     graph = build_graph(EnvConfig(fns=12, fcis=4, fci_link_probability=0.4,
                                   fn_cloud_link_probability=fn_cloud), seed)
     fog = sorted(graph.fn_by_id)
     two_hop_seen = False
     for home in fog:
         stages = _candidate_stages(graph, home)
-        assert stages[0] == (home,)
+        assert len(stages) == 3
         for h in (1, 2):
-            assert list(stages[h]) == [n for n in fog
-                                       if hop_distance(graph, home, n) == h]
-        assert stages[3] == (graph.cloud.id,)
+            assert list(stages[h - 1]) == [n for n in fog
+                                           if hop_distance(graph, home, n) == h]
+        assert stages[2] == (graph.cloud.id,)
         flat = [n for stage in stages for n in stage]
         assert len(flat) == len(set(flat))
+        assert home not in flat
         assert _candidate_stages(graph, home) is stages
-        two_hop_seen = two_hop_seen or bool(stages[2])
+        two_hop_seen = two_hop_seen or bool(stages[1])
     assert two_hop_seen
 
 
@@ -260,14 +262,16 @@ class TestHerafcPlace:
         got = place(app, two_cluster_graph)
         assert fn(0) in got.task_locations.values()
 
-    def test_home_pin_second_pass(self):
-        # tiny home FN fits only the smallest task; the first greedy pass
-        # anchors everything on the bigger sibling, so the pin must rerun
+    def test_home_takes_the_task_that_fits_it(self):
+        # tiny home FN fits only the small leaf task: the root goes to the
+        # bigger sibling, and first-fit puts the leaf on the home FN in the
+        # one pass there is
         g = make_graph(fn_caps=[(1, 100), (50, 5000)], clusters=[0, 0])
         app = make_app(
             [make_task("big", cpu=5, mem=500), make_task("small", cpu=1, mem=50)],
             [make_edge("big", "small")], home=fn(0))
         got = place(app, g)
+        assert got.task_locations == {"big": fn(1), "small": fn(0)}
         assert fn(0) in got.task_locations.values()
         assert not got.home_pin_infeasible
         assert check_constraints(got, app, g, "mfc") == []
@@ -452,12 +456,10 @@ def test_level_edge_lists_match_the_per_level_scan(monkeypatch):
     """place_levels with each edge mapped once at its later level gives what
     the per-level scan gave, key order included, on tight capacities.
 
-    Stages: HeRAFC's, cloud-first's, and the home FN after its 1-hop
-    neighbours. The home FN is the first stage of both algorithms, so only
-    the third list makes the home-pin re-run happen. Each app's envelope is
-    held while the next two apps are placed. Rejections, unmapped and
-    ignored edges and pin re-runs all occur."""
-    seen = dict(rejected=0, unmapped=0, ignored=0, pinned=0, mapped=0)
+    Stages: HeRAFC's and cloud-first's. Each app's envelope is held while
+    the next two apps are placed. Rejections, unmapped and ignored edges all
+    occur."""
+    seen = dict(rejected=0, unmapped=0, ignored=0, mapped=0)
     for seed in range(10):
         graph = build_graph(EnvConfig(fns=6, fcis=3, cpu=(3, 6),
                                       mem_mb=(300, 900),
@@ -474,14 +476,12 @@ def test_level_edge_lists_match_the_per_level_scan(monkeypatch):
         held = []
         for app in generate_workload(cfg, graph, seed):
             queue = order_tasks(app, graph)
-            home, one_hop, two_hop, cloud = _candidate_stages(graph, app.home_fn)
             herafc_levels = [sorted(level, key=lambda t: (-queue.mcv[t], t))
                              for level in reversed(queue.levels)]
-            runs = ((herafc_levels, (home, one_hop, two_hop, cloud)),
-                    ([sorted(t.id for t in app.tasks)], (home, cloud)),
-                    (herafc_levels, (one_hop, home, two_hop, cloud)))
+            runs = ((herafc_levels, _candidate_stages(graph, app.home_fn)),
+                    ([sorted(t.id for t in app.tasks)], ((graph.cloud.id,),)))
             for levels, stages in runs:
-                got = place_levels(app, graph, rm_new, levels, queue.wv, stages)
+                got = place_levels(app, graph, rm_new, levels, stages)
 
                 def scan(edges, placement, graph_, rm_, log):
                     level = levels[len(placement.level_order)]
@@ -490,14 +490,12 @@ def test_level_edge_lists_match_the_per_level_scan(monkeypatch):
 
                 with monkeypatch.context() as m:
                     m.setattr(placement_module, "map_level_edges", scan)
-                    want = place_levels(app, graph, rm_ref, levels, queue.wv,
-                                        stages)
+                    want = place_levels(app, graph, rm_ref, levels, stages)
                 assert placement_record(got) == placement_record(want)
                 assert matrix_state(rm_new) == matrix_state(rm_ref)
                 seen["rejected"] += len(got.rejected)
                 seen["unmapped"] += len(got.unmapped)
                 seen["ignored"] += len(got.ignored)
-                seen["pinned"] += got.pinned_task is not None
                 seen["mapped"] += sum(len(p.nodes) > 1
                                       for p in got.edge_paths.values())
             rm_new.hold(got.envelope)

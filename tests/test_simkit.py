@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from fogsched.ordering import task_levels
-from fogsched.placement import Envelope, ResourceMatrix
+from fogsched.ordering import order_tasks, task_levels
+from fogsched.placement import Envelope, ResourceMatrix, herafc_place
 from fogsched.simkit import (ALGORITHMS, ExperimentConfig, FluctuationConfig,
                              SimError, apply_fluctuation, baseline_cloud_first,
                              baseline_order, run_experiment, run_replication,
@@ -161,20 +161,29 @@ class TestBaselineCloudFirst:
         assert baseline_cloud_first(app, g, rm).to_dict() == \
                baseline_cloud_first(app, g, rm).to_dict()
 
-    def test_pin_rule_never_reruns(self):
-        # Home is every task's first stage, so without a home task no task
-        # fits home: the pin rule marks it infeasible instead of re-running.
-        graph = build_graph(EnvConfig(**SMALL_ENV), seed=1)
+
+def test_home_fn_unused_exactly_when_nothing_fits_it():
+    # The home FN is every task's first candidate and each level starts from
+    # the matrix as passed, so one pass leaves it unused exactly when no task
+    # of the app fits it there; home_pin_infeasible records that.
+    graph = build_graph(EnvConfig(**SMALL_ENV), seed=1)
+    algorithms = {
+        "herafc": lambda app, rm: herafc_place(app, graph, rm,
+                                               order_tasks(app, graph)),
+        "cloud-first": lambda app, rm: baseline_cloud_first(app, graph, rm)}
+    for name, place in algorithms.items():
         rm = ResourceMatrix.from_graph(graph)
         outcomes = set()
         for app in generate_workload(WorkloadConfig(**SMALL_WL), graph, 3):
-            got = baseline_cloud_first(app, graph, rm)
+            fits_home = any(rm.fits(t, app.home_fn) for t in app.tasks)
+            got = place(app, rm)
             assert got.pinned_task is None
             home_used = app.home_fn in got.task_locations.values()
-            assert got.home_pin_infeasible == (not home_used)
+            assert got.home_pin_infeasible == (not home_used), name
+            assert home_used == fits_home, name
             outcomes.add(home_used)
             rm.hold(got.envelope)  # never released: the home FNs fill up
-        assert outcomes == {True, False}
+        assert outcomes == {True, False}, name
 
 
 class TestApplyFluctuation:

@@ -164,6 +164,25 @@ class TestLoadApplication:
         with pytest.raises(WorkloadError):
             load_application(doc)
 
+    def test_missing_task_field_rejected(self):
+        doc = self.doc()
+        del doc["tasks"][0]["cpu"]
+        with pytest.raises(WorkloadError, match="missing task fields"):
+            load_application(doc)
+
+    def test_missing_edge_field_rejected(self):
+        doc = self.doc()
+        del doc["edges"][0]["max_latency_ms"]
+        with pytest.raises(WorkloadError, match="missing edge fields"):
+            load_application(doc)
+
+    @pytest.mark.parametrize("home", ["fog-x", "node-1"])
+    def test_unparseable_home_fn_rejected(self, home):
+        doc = self.doc()
+        doc["home_fn"] = home
+        with pytest.raises(WorkloadError, match="not a node id"):
+            load_application(doc)
+
     def test_invalid_dag_rejected(self):
         doc = self.doc()
         doc["edges"].append({"src": "v2", "dst": "v1",
