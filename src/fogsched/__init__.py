@@ -13,8 +13,8 @@ from .placement import (Envelope, LevelLog, Placement, ResourceMatrix,
                         herafc_place, map_level_edges, place_levels, reset_rm,
                         try_deploy)
 from .objective import (ObjectiveBreakdown, ServerAssignment, SingleFogModel,
-                        check_constraints, eval_mfc, eval_single_fog,
-                        kappa_floor)
+                        check_constraints, check_single_fog, eval_mfc,
+                        eval_single_fog, kappa_floor)
 from .oracle import (OracleLimits, OracleResult, compare_with_heuristic,
                      exhaustive_place)
 from .simkit import (ExperimentConfig, FluctuationConfig, MetricsReport,

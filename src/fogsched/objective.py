@@ -194,9 +194,9 @@ def eval_mfc(placement: Placement, graph: ResourceGraph, rm: ResourceMatrix,
     return out
 
 
-def check_constraints(placement, app: Application, graph_or_model,
-                      mode: str = "mfc") -> list[tuple[str, str, str]]:
-    """Report every violated placement constraint (empty list = feasible).
+def check_constraints(placement: Placement, app: Application,
+                      graph: ResourceGraph) -> list[tuple[str, str, str]]:
+    """Report every violated multi-fog/cloud constraint (empty = feasible).
 
     Codes: one-location (a task must sit on exactly one location),
     capacity (per-level demand within node capacity), bandwidth (mapped paths
@@ -204,11 +204,6 @@ def check_constraints(placement, app: Application, graph_or_model,
     edge's demand; reported, never enforced), home-fn (at least one task on
     the app's home FN unless none could fit there).
     """
-    if mode == "single-fog":
-        return _check_single_fog(placement, app, graph_or_model)
-    if mode != "mfc":
-        raise ValueError(f"unknown constraint mode {mode!r}")
-    graph: ResourceGraph = graph_or_model
     violations: list[tuple[str, str, str]] = []
     rejected = {t for t, _ in placement.rejected}
     for task in app.tasks:
@@ -275,8 +270,11 @@ def check_constraints(placement, app: Application, graph_or_model,
     return violations
 
 
-def _check_single_fog(assignment: ServerAssignment, app: Application,
-                      model: SingleFogModel) -> list[tuple[str, str, str]]:
+def check_single_fog(assignment: ServerAssignment, app: Application,
+                     model: SingleFogModel) -> list[tuple[str, str, str]]:
+    """Report every violated server-level constraint (empty = feasible):
+    one-location, capacity (cpu within residual) and home-fn (at least one
+    task on a fog server)."""
     violations: list[tuple[str, str, str]] = []
     for task in app.tasks:
         loc = assignment.task_locations.get(task.id)

@@ -1,12 +1,12 @@
 """Experiment runner: FCFS batch placement on a live resource matrix.
 
-Applications are admitted in FCFS order at simulated times k * admission
-interval. Each app is placed on the live residual matrix, which placement
-leaves exactly as it found it; because an app's levels run sequentially, the
-app then holds its envelope, the per-node peak over levels (the most any
-single level occupies), until its completion time, when the hold is
-released. Availability fluctuation rescales effective capacities at fixed
-simulated intervals, clamped so active holds are never revoked.
+Apps are admitted in FCFS order at simulated times k * admission interval
+and placed on the live matrix, which placement leaves as it found it. As its
+levels run in sequence, an app then holds its envelope (the per-node peak
+over levels) until completion. `_Usage` owns the one simulated clock and the
+held, peak and time-integrated cpu/mem/bw of fog and cloud. Fluctuation
+rescales effective capacities at fixed intervals, clamped so no active hold
+is revoked; a hold still above its capacity afterwards counts as revoked.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import heapq
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .ordering import DEFAULT_DELTA, ProcessQueue, Weights, order_tasks, task_levels
 from .placement import (Envelope, Placement, ResourceMatrix, herafc_place,
@@ -194,9 +194,64 @@ def _avg_dicts(dicts: list[dict]) -> dict:
     return {k: sum(d[k] for d in dicts) / len(dicts) for k in keys}
 
 
+_RESOURCES = ("cpu", "mem", "bw")
+
+
+class _Usage:
+    """Capacity, held amount, peak and time integral of cpu, mem and bw in
+    each tier, on the run's one simulated clock. A link touching the cloud
+    counts as cloud; every other node and link counts as fog."""
+
+    def __init__(self, rm: ResourceMatrix) -> None:
+        self.now = 0.0
+        self.capacity = {(tier, kind): 0.0 for tier in (FOG, CLOUD)
+                         for kind in _RESOURCES}
+        self._bucket: dict[str, dict] = {}
+        for kind in _RESOURCES:
+            buckets = self._bucket[kind] = {}
+            for key, cap in getattr(rm, f"capacity_{kind}").items():
+                ends = key if kind == "bw" else (key,)
+                tier = CLOUD if any(n.tier == CLOUD for n in ends) else FOG
+                buckets[key] = (tier, kind)
+                self.capacity[tier, kind] += cap
+        self.held = dict.fromkeys(self.capacity, 0.0)
+        self.peak = dict(self.held)
+        self.area = dict(self.held)
+
+    def elapse(self, to: float) -> None:
+        """Move the clock forward to `to`, integrating the held amounts."""
+        if to > self.now:
+            dt = to - self.now
+            for key in self.area:
+                self.area[key] += self.held[key] * dt
+            self.now = to
+
+    def apply(self, envelope: Envelope, sign: float) -> None:
+        """Add (sign 1.0) or remove (sign -1.0) an app's hold."""
+        for kind in _RESOURCES:
+            buckets = self._bucket[kind]
+            for key, amt in getattr(envelope, kind).items():
+                self.held[buckets[key]] += sign * amt
+        if sign > 0:
+            for key, amount in self.held.items():
+                self.peak[key] = max(self.peak[key], amount)
+
+    def util(self, tier: str) -> dict:
+        """Percent of the tier's capacity held on average over the run, then
+        at its peak (as *_peak)."""
+        average, peak = {}, {}
+        for kind in _RESOURCES:
+            cap = self.capacity[tier, kind]
+            average[kind] = (100.0 * (self.area[tier, kind] / self.now) / cap
+                             if cap > 0 and self.now > 0 else 0.0)
+            peak[f"{kind}_peak"] = (100.0 * self.peak[tier, kind] / cap
+                                    if cap > 0 else 0.0)
+        return {**average, **peak}
+
+
 def _check_conservation(rm: ResourceMatrix, envelopes) -> None:
     """Every held amount must equal the sum of the active envelopes."""
-    for kind in ("cpu", "mem", "bw"):
+    for kind in _RESOURCES:
         total: dict = {}
         for envelope in envelopes:
             for key, amt in getattr(envelope, kind).items():
@@ -208,99 +263,52 @@ def _check_conservation(rm: ResourceMatrix, envelopes) -> None:
                                f"{total.get(key, 0.0)}")
 
 
+def _overdrawn(rm: ResourceMatrix) -> int:
+    """Holds above effective capacity: one per node or link and resource."""
+    return sum(held > getattr(rm, f"effective_{kind}")[key] + 1e-9
+               for kind in _RESOURCES
+               for key, held in getattr(rm, f"held_{kind}").items())
+
+
 def run_replication(cfg: ExperimentConfig, seed: int,
                     conservation_check_every: int = 200) -> ReplicationReport:
     graph = build_graph(cfg.env, seed)
     apps = generate_workload(cfg.workload, graph, f"{seed}:workload")
     live = ResourceMatrix.from_graph(graph)
-    # Conservation audit: the envelope of every app still holding resources.
-    active: dict[int, Envelope] = {}
+    usage = _Usage(live)
     fluct_rng = random.Random(f"{seed}:fluctuation")
-    order_rng_seed = f"{seed}:order"
-
-    releases: list[tuple[float, int]] = []
-    release_counter = 0
-    sim_time = 0.0
-    next_boundary = (cfg.fluctuation.interval_s * 1000.0
-                     if cfg.fluctuation else math.inf)
-
-    fog_nodes = sorted(graph.fn_by_id)
-    cloud_id = graph.cloud.id
-    fog_cap_cpu = sum(live.capacity_cpu[n] for n in fog_nodes)
-    fog_cap_mem = sum(live.capacity_mem[n] for n in fog_nodes)
-    cloud_cap_cpu = live.capacity_cpu[cloud_id]
-    cloud_cap_mem = live.capacity_mem[cloud_id]
-    fog_links = [k for k in live.capacity_bw if k[0].tier != CLOUD
-                 and k[1].tier != CLOUD]
-    cloud_links = [k for k in live.capacity_bw if k[0].tier == CLOUD
-                   or k[1].tier == CLOUD]
-    fog_cap_bw = sum(live.capacity_bw[k] for k in fog_links)
-    cloud_cap_bw = sum(live.capacity_bw[k] for k in cloud_links)
-
-    held = {"fog_cpu": 0.0, "fog_mem": 0.0, "fog_bw": 0.0,
-            "cloud_cpu": 0.0, "cloud_mem": 0.0, "cloud_bw": 0.0}
-    peak = dict(held)
-    area = dict(held)
-    last_time = 0.0
-
-    def elapse(to: float) -> None:
-        """Accumulate held-resource area up to the new simulated time."""
-        nonlocal last_time
-        if to > last_time:
-            dt = to - last_time
-            for k in area:
-                area[k] += held[k] * dt
-            last_time = to
-
-    def apply_hold(envelope: Envelope, sign: float) -> None:
-        for node, amt in envelope.cpu.items():
-            bucket = "cloud_cpu" if node.tier == CLOUD else "fog_cpu"
-            held[bucket] += sign * amt
-        for node, amt in envelope.mem.items():
-            bucket = "cloud_mem" if node.tier == CLOUD else "fog_mem"
-            held[bucket] += sign * amt
-        for key, amt in envelope.bw.items():
-            bucket = "cloud_bw" if (key[0].tier == CLOUD
-                                    or key[1].tier == CLOUD) else "fog_bw"
-            held[bucket] += sign * amt
-        if sign > 0:
-            for k in peak:
-                peak[k] = max(peak[k], held[k])
+    interval_ms = (cfg.fluctuation.interval_s * 1000.0
+                   if cfg.fluctuation else math.inf)
+    next_boundary = interval_ms
+    revocations = 0
+    # (completion time, admission index, envelope) of each app still holding.
+    releases: list[tuple[float, int, Envelope]] = []
 
     def advance(until: float) -> None:
-        nonlocal sim_time, next_boundary
+        """Release and fluctuate in time order up to `until`; clock to it."""
+        nonlocal next_boundary, revocations
         while True:
             release_time = releases[0][0] if releases else math.inf
-            boundary = next_boundary
-            nxt = min(release_time, boundary)
-            if nxt > until:
+            if min(release_time, next_boundary) > until:
                 break
-            if release_time <= boundary:
-                t, handle = heapq.heappop(releases)
-                envelope = active.pop(handle)
+            if release_time <= next_boundary:
+                envelope = heapq.heappop(releases)[2]
                 live.release(envelope)
-                elapse(t)
-                apply_hold(envelope, -1.0)
-                sim_time = t
+                usage.elapse(release_time)
+                usage.apply(envelope, -1.0)
             else:
-                elapse(boundary)
-                sim_time = boundary
+                usage.elapse(next_boundary)
                 apply_fluctuation(live, cfg.fluctuation, fluct_rng,
                                   graph=graph, env=cfg.env)
-                next_boundary += cfg.fluctuation.interval_s * 1000.0
-        if until > sim_time:
-            elapse(until)
-            sim_time = until
+                revocations += _overdrawn(live)
+                next_boundary += interval_ms
+        usage.elapse(until)
 
     violation_counts: dict[str, int] = {}
     rejected_count = 0
-    placed_fog = 0
-    placed_cloud = 0
     latencies: dict[tuple[int, str], list[float]] = {}
-    share_counts: dict[int, dict[str, int]] = {
-        p: {"fog": 0, "cloud": 0} for p in range(1, 6)}
-    order_seconds = 0.0
-    place_seconds = 0.0
+    share_counts = {p: {FOG: 0, CLOUD: 0} for p in range(1, 6)}
+    order_seconds = place_seconds = 0.0
     objective_totals = {"task_terms": 0.0, "edge_latency_terms": 0.0,
                         "edge_bandwidth_terms": 0.0, "total": 0.0,
                         "apps_scored": 0}
@@ -308,14 +316,13 @@ def run_replication(cfg: ExperimentConfig, seed: int,
     for k, app in enumerate(apps):
         advance(k * cfg.admission_interval_ms)
 
-        queue = None
         if cfg.algorithm != "cloud-first":
             t0 = time.perf_counter()
             if cfg.algorithm == "herafc":
                 queue = order_tasks(app, graph, cfg.weights, cfg.delta)
             else:
                 kind = cfg.algorithm.split("-", 1)[1]
-                queue = baseline_order(app, kind, f"{order_rng_seed}:{app.id}")
+                queue = baseline_order(app, kind, f"{seed}:order:{app.id}")
             order_seconds += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -325,110 +332,73 @@ def run_replication(cfg: ExperimentConfig, seed: int,
             placement = herafc_place(app, graph, live, queue)
         place_seconds += time.perf_counter() - t0
 
-        for code, entity, detail in check_constraints(placement, app, graph, "mfc"):
+        for code, _, _ in check_constraints(placement, app, graph):
             violation_counts[code] = violation_counts.get(code, 0) + 1
         rejected_count += len(placement.rejected)
 
         if cfg.emit_objective and not placement.rejected and not placement.unmapped:
             breakdown = eval_mfc(placement, graph, live, big_delta=cfg.big_delta)
-            objective_totals["task_terms"] += sum(breakdown.task_terms.values())
-            objective_totals["edge_latency_terms"] += sum(
-                breakdown.edge_latency_terms.values())
-            objective_totals["edge_bandwidth_terms"] += sum(
-                breakdown.edge_bandwidth_terms.values())
+            for terms in ("task_terms", "edge_latency_terms",
+                          "edge_bandwidth_terms"):
+                objective_totals[terms] += sum(getattr(breakdown, terms).values())
             objective_totals["total"] += breakdown.total
             objective_totals["apps_scored"] += 1
 
         live.hold(placement.envelope)
-        release_counter += 1
-        active[release_counter] = placement.envelope
-        apply_hold(placement.envelope, 1.0)
-        completion = sim_time + sum(placement.level_durations)
-        heapq.heappush(releases, (completion, release_counter))
+        usage.apply(placement.envelope, 1.0)
+        heapq.heappush(releases, (usage.now + sum(placement.level_durations),
+                                  k, placement.envelope))
 
-        children = app.children()
+        # A located task's latency sample: its mapped outgoing edges' sum.
+        outgoing: dict[str, float] = {}
+        for edge in app.edges:
+            path = placement.edge_paths.get(edge.key)
+            if path is not None:
+                outgoing[edge.src] = outgoing.get(edge.src, 0) + path.total_latency
         for task in app.tasks:
             node = placement.task_locations.get(task.id)
             if node is None:
                 continue
-            tier = "cloud" if node.tier == CLOUD else "fog"
+            tier = CLOUD if node.tier == CLOUD else FOG
             share_counts[task.priority][tier] += 1
-            if tier == "fog":
-                placed_fog += 1
-            else:
-                placed_cloud += 1
-            outgoing = [placement.edge_paths[(task.id, child)].total_latency
-                        for child in children[task.id]
-                        if (task.id, child) in placement.edge_paths]
-            if outgoing:
+            if task.id in outgoing:
                 latencies.setdefault((task.priority, tier), []).append(
-                    sum(outgoing))
+                    outgoing[task.id])
 
         if (k + 1) % conservation_check_every == 0:
-            _check_conservation(live, active.values())
+            _check_conservation(live, [entry[2] for entry in releases])
 
     while releases:
         advance(releases[0][0])
-    _check_conservation(live, active.values())
-    for node, amount in live.held_cpu.items():
-        if abs(amount) > 1e-6:
-            raise SimError(f"hold not fully released on {node}")
+    _check_conservation(live, [])
 
-    horizon = last_time
-
-    def pct(x: float, cap: float) -> float:
-        return 100.0 * x / cap if cap > 0 else 0.0
-
-    def avg_pct(bucket: str, cap: float) -> float:
-        if cap <= 0 or horizon <= 0:
-            return 0.0
-        return 100.0 * (area[bucket] / horizon) / cap
-
-    # Utilization is the time average of held resources over the whole run;
-    # peaks are reported alongside as *_peak.
-    fog_util = {"cpu": avg_pct("fog_cpu", fog_cap_cpu),
-                "mem": avg_pct("fog_mem", fog_cap_mem),
-                "bw": avg_pct("fog_bw", fog_cap_bw),
-                "cpu_peak": pct(peak["fog_cpu"], fog_cap_cpu),
-                "mem_peak": pct(peak["fog_mem"], fog_cap_mem),
-                "bw_peak": pct(peak["fog_bw"], fog_cap_bw)}
-    cloud_util = {"cpu": avg_pct("cloud_cpu", cloud_cap_cpu),
-                  "mem": avg_pct("cloud_mem", cloud_cap_mem),
-                  "bw": avg_pct("cloud_bw", cloud_cap_bw),
-                  "cpu_peak": pct(peak["cloud_cpu"], cloud_cap_cpu),
-                  "mem_peak": pct(peak["cloud_mem"], cloud_cap_mem),
-                  "bw_peak": pct(peak["cloud_bw"], cloud_cap_bw)}
     latency_by_priority = {}
     for p in range(1, 6):
-        entry = {}
-        for tier in ("fog", "cloud"):
-            samples = latencies.get((p, tier))
+        entry = latency_by_priority[p] = {}
+        for tier in (FOG, CLOUD):
+            samples = latencies.get((p, tier), [])
             entry[f"{tier}_avg_ms"] = (sum(samples) / len(samples)
                                        if samples else None)
-            entry[f"{tier}_n"] = len(samples) if samples else 0
-        latency_by_priority[p] = entry
-    fog_share = {}
-    cloud_share = {}
-    for p in range(1, 6):
-        total = share_counts[p]["fog"] + share_counts[p]["cloud"]
-        fog_share[p] = 100.0 * share_counts[p]["fog"] / total if total else 0.0
+            entry[f"{tier}_n"] = len(samples)
+    fog_share, cloud_share = {}, {}
+    for p, counts in share_counts.items():
+        total = counts[FOG] + counts[CLOUD]
+        fog_share[p] = 100.0 * counts[FOG] / total if total else 0.0
         cloud_share[p] = 100.0 - fog_share[p] if total else 0.0
     task_count = sum(len(a.tasks) for a in apps)
-    timings = {
-        "order_total_s": order_seconds,
-        "place_total_s": place_seconds,
-        "per_app_avg_ms": (1000.0 * (order_seconds + place_seconds) / len(apps)
-                           if apps else 0.0),
-    }
+    timings = {"order_total_s": order_seconds, "place_total_s": place_seconds,
+               "per_app_avg_ms": (1000.0 * (order_seconds + place_seconds)
+                                  / len(apps) if apps else 0.0)}
     return ReplicationReport(
         seed=seed, app_count=len(apps), task_count=task_count,
-        fog_util=fog_util, cloud_util=cloud_util,
+        fog_util=usage.util(FOG), cloud_util=usage.util(CLOUD),
         latency_by_priority=latency_by_priority,
         fog_share_by_priority=fog_share,
         cloud_share_by_priority=cloud_share,
         timings=timings, violation_counts=violation_counts,
-        rejected_count=rejected_count, revocation_count=0,
-        placed_fog=placed_fog, placed_cloud=placed_cloud,
+        rejected_count=rejected_count, revocation_count=revocations,
+        placed_fog=sum(c[FOG] for c in share_counts.values()),
+        placed_cloud=sum(c[CLOUD] for c in share_counts.values()),
         objective=objective_totals if cfg.emit_objective else None)
 
 
@@ -446,16 +416,9 @@ def time_algorithms(cfg: ExperimentConfig,
     """Wall-clock ordering vs placement totals across an app-count sweep."""
     records = []
     for count in app_counts:
-        sweep_cfg = ExperimentConfig(
-            env=cfg.env,
-            workload=WorkloadConfig(**{**cfg.workload.__dict__,
-                                       "app_count": count,
-                                       "max_total_tasks": max(
-                                           cfg.workload.max_total_tasks,
-                                           count * cfg.workload.tasks_per_app[1])}),
-            algorithm=cfg.algorithm, weights=cfg.weights, delta=cfg.delta,
-            big_delta=cfg.big_delta, seed=cfg.seed,
-            admission_interval_ms=cfg.admission_interval_ms)
-        report = run_replication(sweep_cfg, cfg.seed)
+        workload = replace(cfg.workload, app_count=count, max_total_tasks=max(
+            cfg.workload.max_total_tasks,
+            count * cfg.workload.tasks_per_app[1]))
+        report = run_replication(replace(cfg, workload=workload), cfg.seed)
         records.append({"app_count": count, **report.timings})
     return records

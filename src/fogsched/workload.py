@@ -245,6 +245,16 @@ def validate_dag(app: Application) -> list[str]:
     return violations
 
 
+def _number(raw: dict, name: str, owner: str) -> int | float:
+    """A numeric document field: an int or a finite float, never a bool."""
+    value = raw[name]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise WorkloadError(f"{owner}: {name} must be a finite number, "
+                            f"not {value!r}")
+    return value
+
+
 def load_application(doc: dict) -> Application:
     """Parse and validate an application document (already-decoded JSON)."""
     if not isinstance(doc, dict):
@@ -265,9 +275,12 @@ def load_application(doc: dict) -> Application:
         missing = task_fields - set(raw)
         if missing:
             raise WorkloadError(f"missing task fields: {sorted(missing)}")
-        tasks.append(Task(id=str(raw["id"]), cpu_demand=raw["cpu"],
-                          mem_demand=raw["mem_mb"], makespan=raw["makespan_ms"],
-                          priority=raw["priority"]))
+        owner = f"task {raw['id']}"
+        tasks.append(Task(id=str(raw["id"]),
+                          cpu_demand=_number(raw, "cpu", owner),
+                          mem_demand=_number(raw, "mem_mb", owner),
+                          makespan=_number(raw, "makespan_ms", owner),
+                          priority=_number(raw, "priority", owner)))
     edge_fields = {"src", "dst", "bandwidth_mbps", "max_latency_ms"}
     edges = []
     for raw in doc["edges"]:
@@ -277,9 +290,10 @@ def load_application(doc: dict) -> Application:
         missing = edge_fields - set(raw)
         if missing:
             raise WorkloadError(f"missing edge fields: {sorted(missing)}")
+        owner = f"edge {raw['src']}->{raw['dst']}"
         edges.append(TaskEdge(src=str(raw["src"]), dst=str(raw["dst"]),
-                              bandwidth_demand=raw["bandwidth_mbps"],
-                              max_latency=raw["max_latency_ms"]))
+                              bandwidth_demand=_number(raw, "bandwidth_mbps", owner),
+                              max_latency=_number(raw, "max_latency_ms", owner)))
     home = doc["home_fn"]
     try:
         home_id = NodeId.parse(home) if isinstance(home, str) else NodeId(FOG, int(home))

@@ -185,6 +185,23 @@ class TestOracle:
         err = capsys.readouterr().err
         assert f"missing {part[:-1]} fields" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("part,field,value", [
+        ("tasks", "cpu", "1"), ("tasks", "cpu", True),
+        ("tasks", "makespan_ms", float("nan")),
+        ("edges", "bandwidth_mbps", "fast")])
+    def test_non_number_field_exit_code(self, part, field, value, tmp_path,
+                                        capsys):
+        app = tmp_path / "app.json"
+        doc = json.loads(Path(self.app_doc(tmp_path)).read_text())
+        doc[part][0][field] = value
+        write_json(app, doc)
+        code = main(["oracle", "--app", str(app),
+                     "--env", self.env_file(tmp_path), "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"{field} must be a finite number" in err
+                and "Traceback" not in err)
+
     def test_oversize_instance_exit_code(self, tmp_path):
         code = main(["oracle", "--app", self.app_doc(tmp_path, n_tasks=8),
                      "--env", self.env_file(tmp_path), "--seed", "1"])

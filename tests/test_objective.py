@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from fogsched.objective import (EvaluationError, ObjectiveBreakdown,
                                 ServerAssignment, SingleFogModel,
-                                check_constraints, eval_mfc, eval_single_fog,
-                                kappa_floor)
+                                check_constraints, check_single_fog,
+                                eval_mfc, eval_single_fog, kappa_floor)
 from fogsched.ordering import order_tasks
 from fogsched.placement import (Envelope, Placement, ResourceMatrix,
                                 herafc_place)
@@ -160,29 +160,29 @@ class TestCheckConstraints:
 
     def test_heuristic_output_is_clean(self, two_cluster_graph):
         app, placement = self.clean_run(two_cluster_graph)
-        assert check_constraints(placement, app, two_cluster_graph, "mfc") == []
+        assert check_constraints(placement, app, two_cluster_graph) == []
 
     def test_multiple_locations_flagged(self, two_cluster_graph):
         app, placement = self.clean_run(two_cluster_graph)
         placement.task_locations["a"] = [fn(0), fn(1)]
         codes = [c for c, _, _ in
-                 check_constraints(placement, app, two_cluster_graph, "mfc")]
+                 check_constraints(placement, app, two_cluster_graph)]
         assert "one-location" in codes
 
     def test_node_id_is_one_location_list_is_two(self, two_cluster_graph):
         app, placement = self.clean_run(two_cluster_graph)
         placement.task_locations["a"] = fn(1)
         assert not any(c == "one-location" for c, _, _ in
-                       check_constraints(placement, app, two_cluster_graph, "mfc"))
+                       check_constraints(placement, app, two_cluster_graph))
         placement.task_locations["a"] = [fn(0), fn(1)]
         assert ("one-location", "a", "task mapped to 2 locations") in \
-            check_constraints(placement, app, two_cluster_graph, "mfc")
+            check_constraints(placement, app, two_cluster_graph)
 
     def test_missing_task_flagged(self, two_cluster_graph):
         app, placement = self.clean_run(two_cluster_graph)
         del placement.task_locations["b"]
         codes = [c for c, _, _ in
-                 check_constraints(placement, app, two_cluster_graph, "mfc")]
+                 check_constraints(placement, app, two_cluster_graph)]
         assert "one-location" in codes
 
     def test_all_cloud_flags_home_rule(self, two_cluster_graph):
@@ -190,7 +190,7 @@ class TestCheckConstraints:
         for t in placement.task_locations:
             placement.task_locations[t] = CLOUD_ID
         codes = [c for c, _, _ in
-                 check_constraints(placement, app, two_cluster_graph, "mfc")]
+                 check_constraints(placement, app, two_cluster_graph)]
         assert "home-fn" in codes
 
     def test_home_rule_waived_when_infeasible(self, two_cluster_graph):
@@ -199,7 +199,7 @@ class TestCheckConstraints:
             placement.task_locations[t] = CLOUD_ID
         placement.home_pin_infeasible = True
         codes = [c for c, _, _ in
-                 check_constraints(placement, app, two_cluster_graph, "mfc")]
+                 check_constraints(placement, app, two_cluster_graph)]
         assert "home-fn" not in codes
 
     def test_per_level_capacity_overflow_flagged(self):
@@ -210,7 +210,7 @@ class TestCheckConstraints:
         placement = Placement(app_id=app.id, home_fn=fn(0),
                               task_locations={"a": fn(0), "b": fn(0)},
                               level_order=[["a", "b"]])
-        codes = [c for c, _, _ in check_constraints(placement, app, g, "mfc")]
+        codes = [c for c, _, _ in check_constraints(placement, app, g)]
         assert "capacity" in codes
 
     def test_sequential_levels_may_reuse_capacity(self):
@@ -224,7 +224,7 @@ class TestCheckConstraints:
         placement.edge_paths[("a", "b")] = PhysicalPath(
             nodes=(fn(0),), total_latency=0.0, min_bandwidth=float("inf"),
             hop_count=0)
-        assert check_constraints(placement, app, g, "mfc") == []
+        assert check_constraints(placement, app, g) == []
 
     def test_latency_violation_reported_not_fatal(self, two_cluster_graph):
         app, placement = self.clean_run(two_cluster_graph)
@@ -234,11 +234,10 @@ class TestCheckConstraints:
             placement.edge_paths[("a", "b")] = PhysicalPath(
                 nodes=(fn(0), fn(0).__class__("fci", 0), fn(1)),
                 total_latency=120.0, min_bandwidth=350.0, hop_count=1)
-        got = check_constraints(placement, app, two_cluster_graph, "mfc")
+        got = check_constraints(placement, app, two_cluster_graph)
         assert [c for c, _, _ in got] == ["edge-latency"]
 
     def test_single_fog_mode_unassigned_task(self):
         app = make_app([make_task("a")])
-        got = check_constraints(ServerAssignment({}, []), app, model(),
-                                "single-fog")
+        got = check_single_fog(ServerAssignment({}, []), app, model())
         assert [c for c, _, _ in got] == ["one-location"]

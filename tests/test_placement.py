@@ -155,7 +155,7 @@ class TestMapLevelEdges:
                         rm.snapshot())
         assert ("a", "b") in placement.edge_paths
         assert [(code, entity) for code, entity, _ in check_constraints(
-            placement, app, two_cluster_graph, "mfc")] == [("edge-latency", "a->b")]
+            placement, app, two_cluster_graph)] == [("edge-latency", "a->b")]
 
     def test_rejected_endpoint_ignored(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
@@ -254,7 +254,7 @@ class TestHerafcPlace:
         app = self.diamond_app()
         got = place(app, two_cluster_graph)
         assert got.rejected == []
-        violations = check_constraints(got, app, two_cluster_graph, "mfc")
+        violations = check_constraints(got, app, two_cluster_graph)
         assert violations == []
 
     def test_home_gets_a_task_when_it_fits(self, two_cluster_graph):
@@ -274,7 +274,7 @@ class TestHerafcPlace:
         assert got.task_locations == {"big": fn(1), "small": fn(0)}
         assert fn(0) in got.task_locations.values()
         assert not got.home_pin_infeasible
-        assert check_constraints(got, app, g, "mfc") == []
+        assert check_constraints(got, app, g) == []
 
     def test_level_durations_are_level_maxima(self, two_cluster_graph):
         app = make_app(
@@ -316,7 +316,7 @@ def test_placement_invariants_on_generated_instances(seed):
             assert key[0] in located and key[1] in located
             src, dst = got.task_locations[key[0]], got.task_locations[key[1]]
             assert path.nodes[0] == src and path.nodes[-1] == dst
-        codes = {c for c, _, _ in check_constraints(got, app, graph, "mfc")}
+        codes = {c for c, _, _ in check_constraints(got, app, graph)}
         assert "one-location" not in codes
         assert "capacity" not in codes
         assert "bandwidth" not in codes

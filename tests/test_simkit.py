@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fogsched import simkit
 from fogsched.ordering import order_tasks, task_levels
 from fogsched.placement import Envelope, ResourceMatrix, herafc_place
 from fogsched.simkit import (ALGORITHMS, ExperimentConfig, FluctuationConfig,
@@ -76,6 +77,35 @@ class TestRunExperiment:
     def test_conservation_checked_every_app(self):
         # stricter cadence exercises the double-entry audit at every instant
         run_replication(small_cfg(), seed=7, conservation_check_every=1)
+
+    def test_per_tier_utilization_is_exact(self, monkeypatch):
+        # app-0 holds 4 cpu on fog-0 and 100 on the cloud for 0-400 ms, and
+        # 50 Mbps on fog-0's FCI link (fog) and that FCI's cloud link
+        # (cloud); app-1 holds 2 cpu on fog-1 for 100-300 ms.
+        graph = make_graph(fn_caps=[(10, 1000), (10, 1000)], clusters=[0, 1],
+                           fci_links=[(0, 1)])
+        apps = [make_app([make_task("a", cpu=4, makespan=100.0),
+                          make_task("b", cpu=100, makespan=300.0)],
+                         [make_edge("a", "b", bw=50.0)], home=fn(0),
+                         app_id="app-0"),
+                make_app([make_task("c", cpu=2, makespan=200.0)], home=fn(1),
+                         app_id="app-1")]
+        monkeypatch.setattr(simkit, "build_graph", lambda env, seed: graph)
+        monkeypatch.setattr(simkit, "generate_workload",
+                            lambda cfg, graph, seed: apps)
+        rep = run_replication(small_cfg(admission_interval_ms=100.0), seed=7)
+        assert (rep.placed_fog, rep.placed_cloud) == (2, 1)
+        assert list(rep.fog_util) == list(rep.cloud_util) == [
+            "cpu", "mem", "bw", "cpu_peak", "mem_peak", "bw_peak"]
+        # fog: cpu 20, mem 2000, bw 350 + 350 + 500; cloud: cpu 10**6,
+        # mem 10**9, bw 800 + 800.
+        assert rep.fog_util == pytest.approx(
+            {"cpu": 25.0, "mem": 7.5, "bw": 100.0 * 50 / 1200,
+             "cpu_peak": 30.0, "mem_peak": 10.0, "bw_peak": 100.0 * 50 / 1200},
+            rel=1e-12)
+        assert rep.cloud_util == pytest.approx(
+            {"cpu": 0.01, "mem": 1e-5, "bw": 3.125,
+             "cpu_peak": 0.01, "mem_peak": 1e-5, "bw_peak": 3.125}, rel=1e-12)
 
     def test_latency_entries_expose_sample_counts(self):
         (rep,) = run_experiment(small_cfg()).replications
@@ -229,6 +259,29 @@ class TestApplyFluctuation:
             interval_s=0.2, availability_range=(0.3, 0.9)))
         (rep,) = run_experiment(cfg).replications
         assert rep.revocation_count == 0
+
+    def test_hold_above_capacity_after_fluctuation_is_counted(self,
+                                                              monkeypatch):
+        real = simkit.apply_fluctuation
+        squeezed = []
+
+        def squeeze(rm, *args, **kwargs):
+            # Shrink one held node's cpu below its hold, as a fluctuation
+            # without the clamp would.
+            real(rm, *args, **kwargs)
+            for node, held in rm.held_cpu.items():
+                if held > 0:
+                    rm.effective_cpu[node] = held / 2
+                    squeezed.append(node)
+                    break
+            return rm
+
+        monkeypatch.setattr(simkit, "apply_fluctuation", squeeze)
+        cfg = small_cfg(fluctuation=FluctuationConfig(
+            interval_s=0.2, availability_range=(0.3, 0.9)))
+        rep = run_replication(cfg, seed=7)
+        assert squeezed
+        assert rep.revocation_count == len(squeezed)
 
 
 class TestTimeAlgorithms:

@@ -190,6 +190,18 @@ class TestLoadApplication:
         with pytest.raises(WorkloadError):
             load_application(doc)
 
+    @pytest.mark.parametrize("part,field,value", [
+        ("tasks", "cpu", "1"), ("tasks", "cpu", True),
+        ("tasks", "mem_mb", None), ("tasks", "makespan_ms", float("nan")),
+        ("tasks", "priority", [3]), ("edges", "bandwidth_mbps", float("inf")),
+        ("edges", "max_latency_ms", False)])
+    def test_non_number_field_rejected(self, part, field, value):
+        doc = self.doc()
+        doc[part][0][field] = value
+        with pytest.raises(WorkloadError,
+                           match=f"{field} must be a finite number"):
+            load_application(doc)
+
     def test_out_of_range_priority_rejected(self):
         doc = self.doc()
         doc["tasks"][0]["priority"] = 6
