@@ -71,16 +71,36 @@ class Link:
         return (a, b) if a <= b else (b, a)
 
 
-def _range(value, name: str, integral: bool = False) -> tuple[float, float]:
+def config_number(value, name: str, error: type[ValueError],
+                  integral: bool = False):
+    """A config or document field: an int or a finite float, never a bool.
+    An integral field also takes an integral float and returns it as an int
+    (4.0 is read as 4); anything else raises `error`."""
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is float and math.isfinite(value):
+        if not integral:
+            return value
+        if value.is_integer():
+            return int(value)
+    raise error(f"{name} must be {'an integer' if integral else 'a finite number'}"
+                f", not {value!r}")
+
+
+def config_range(value, name: str, error: type[ValueError],
+                 integral: bool = False) -> tuple:
+    """A [min, max] config pair of `config_number` fields, as a tuple."""
     try:
         lo, hi = value
     except (TypeError, ValueError):
-        raise GraphConfigError(f"{name} must be a [min, max] pair") from None
+        raise error(f"{name} must be a [min, max] pair") from None
+    if type(lo) is not int or type(hi) is not int:
+        lo = config_number(lo, name, error, integral)
+        hi = config_number(hi, name, error, integral)
     if lo > hi:
-        raise GraphConfigError(f"{name} range has min > max: {value}")
-    if integral:
-        return (int(lo), int(hi))
-    return (float(lo), float(hi))
+        raise error(f"{name} range has min > max: {value}")
+    return (lo, hi)
 
 
 @dataclass
@@ -107,28 +127,33 @@ class EnvConfig:
     cloud_scale: float = 10.0
 
     def __post_init__(self) -> None:
+        err = GraphConfigError
+        self.fns = config_number(self.fns, "fns", err, integral=True)
+        self.fcis = config_number(self.fcis, "fcis", err, integral=True)
         if self.fns < 0 or self.fcis < 0:
             raise GraphConfigError("node counts must be non-negative")
         if self.fns > 0 and self.fcis == 0:
             raise GraphConfigError("fog nodes require at least one FCI to attach to")
-        self.cpu = _range(self.cpu, "cpu", integral=True)
-        self.mem_mb = _range(self.mem_mb, "mem_mb", integral=True)
-        self.mips = _range(self.mips, "mips", integral=True)
-        for name in ("bw_fn_fci_mbps", "bw_fci_fci_mbps", "bw_fci_cloud_mbps",
-                     "bw_fn_cloud_mbps", "lat_fn_fci_ms", "lat_fci_fci_ms",
-                     "lat_fci_cloud_ms", "lat_fn_cloud_ms"):
-            setattr(self, name, _range(getattr(self, name), name))
+        self.cpu = config_range(self.cpu, "cpu", err, integral=True)
+        self.mem_mb = config_range(self.mem_mb, "mem_mb", err, integral=True)
+        self.mips = config_range(self.mips, "mips", err, integral=True)
         if self.cpu[0] <= 0 or self.mem_mb[0] <= 0 or self.mips[0] <= 0:
             raise GraphConfigError("capacity ranges must be strictly positive")
         for name in ("bw_fn_fci_mbps", "bw_fci_fci_mbps", "bw_fci_cloud_mbps",
                      "bw_fn_cloud_mbps", "lat_fn_fci_ms", "lat_fci_fci_ms",
                      "lat_fci_cloud_ms", "lat_fn_cloud_ms"):
-            if getattr(self, name)[0] <= 0:
+            lo, hi = config_range(getattr(self, name), name, err)
+            if lo <= 0:
                 raise GraphConfigError(f"{name} must be strictly positive")
+            setattr(self, name, (float(lo), float(hi)))
         for name in ("fci_link_probability", "fn_cloud_link_probability"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
+            if not 0.0 <= config_number(getattr(self, name), name, err) <= 1.0:
                 raise GraphConfigError(f"{name} must lie in [0, 1]")
+        for name in ("cloud_cpu", "cloud_mem_mb"):
+            if getattr(self, name) is not None:
+                setattr(self, name, config_number(getattr(self, name), name,
+                                                  err, integral=True))
+        config_number(self.cloud_scale, "cloud_scale", err)
         # Access links must be strictly faster than the backbone: the generated
         # graph guarantees max FN-FCI latency < min FCI-FCI / FCI-cloud latency.
         backbone_min = min(self.lat_fci_fci_ms[0], self.lat_fci_cloud_ms[0])

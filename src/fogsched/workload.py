@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .topology import FOG, NodeId, ResourceGraph
+from .topology import FOG, NodeId, ResourceGraph, config_number, config_range
 
 
 class WorkloadError(ValueError):
@@ -74,21 +74,25 @@ class WorkloadConfig:
     max_total_tasks: int = 100000
 
     def __post_init__(self) -> None:
+        err = WorkloadError
+        self.app_count = config_number(self.app_count, "app_count", err,
+                                       integral=True)
+        self.max_total_tasks = config_number(self.max_total_tasks,
+                                             "max_total_tasks", err, integral=True)
         if self.app_count < 0:
             raise WorkloadError("app_count must be non-negative")
-        for name in ("tasks_per_app", "cpu", "mem_mb", "makespan_ms",
-                     "priority", "edge_bandwidth_mbps", "edge_latency_ms"):
-            try:
-                lo, hi = getattr(self, name)
-            except (TypeError, ValueError):
-                raise WorkloadError(f"{name} must be a [min, max] pair") from None
-            if lo > hi:
-                raise WorkloadError(f"{name} range has min > max")
-            if lo <= 0:
+        for name, integral in (("tasks_per_app", True), ("cpu", True),
+                               ("mem_mb", True), ("makespan_ms", False),
+                               ("priority", True), ("edge_bandwidth_mbps", False),
+                               ("edge_latency_ms", False)):
+            lo_hi = config_range(getattr(self, name), name, err, integral)
+            if lo_hi[0] <= 0:
                 raise WorkloadError(f"{name} must be strictly positive")
+            setattr(self, name, lo_hi)
         if self.priority[0] < 1 or self.priority[1] > 5:
             raise WorkloadError("priority range must lie within [1, 5]")
-        if not 0.0 <= self.link_probability <= 1.0:
+        if not 0.0 <= config_number(self.link_probability, "link_probability",
+                                    err) <= 1.0:
             raise WorkloadError("link_probability must lie in [0, 1]")
         if self.app_count * self.tasks_per_app[0] > self.max_total_tasks:
             raise WorkloadError(
@@ -104,47 +108,51 @@ class WorkloadConfig:
         return cls(**doc)
 
 
-def _sample_edge_slots(n_pairs: int, probability: float, rng: random.Random):
-    """Indices of Bernoulli successes over n_pairs trials via geometric gaps."""
-    if probability <= 0.0 or n_pairs <= 0:
-        return
-    if probability >= 1.0:
-        yield from range(n_pairs)
-        return
-    log_q = math.log1p(-probability)
-    pos = -1
-    while True:
-        u = rng.random()
-        gap = int(math.log(1.0 - u) / log_q) + 1
-        pos += gap
-        if pos >= n_pairs:
-            return
-        yield pos
-
-
-def _pair_from_slot(slot: int) -> tuple[int, int]:
-    """Invert the linearization of pairs (i, j), i < j, ordered by j then i."""
-    j = int((1 + math.isqrt(1 + 8 * slot)) // 2)
-    while j * (j - 1) // 2 > slot:
-        j -= 1
-    while (j + 1) * j // 2 <= slot:
-        j += 1
-    i = slot - j * (j - 1) // 2
-    return i, j
-
-
 def generate_workload(cfg: WorkloadConfig, graph: ResourceGraph,
                       seed) -> list[Application]:
-    """Generate a deterministic batch of applications for the given graph."""
+    """Generate a deterministic batch of applications for the given graph.
+
+    Every draw takes from one `random.Random(seed)` stream exactly what
+    `randint`, `randrange` and `uniform` would take, and gives what they
+    would give: integers by CPython's `_randbelow` over `getrandbits`,
+    uniforms as `lo + (hi - lo) * random()`. Task edges are Bernoulli
+    trials over the pairs (i, j), i < j, ordered by j then i, sampled by
+    geometric gaps.
+    """
     if not graph.fns:
         raise WorkloadError("workload generation requires at least one fog node")
     rng = random.Random(seed)
+    getrandbits, random_ = rng.getrandbits, rng.random
+
+    def draw(lo: int, n: int) -> int:
+        """lo + a uniform int in [0, n), as randrange(lo, lo + n) draws it."""
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
+
     fn_ids = sorted(graph.fn_by_id)
+    n_fns = len(fn_ids)
+    n_lo, n_hi = cfg.tasks_per_app
+    cpu_lo, cpu_hi = cfg.cpu
+    mem_lo, mem_hi = cfg.mem_mb
+    pr_lo, pr_hi = cfg.priority
+    n_span, cpu_span = n_hi - n_lo + 1, cpu_hi - cpu_lo + 1
+    mem_span, pr_span = mem_hi - mem_lo + 1, pr_hi - pr_lo + 1
+    ms_lo, ms_hi = cfg.makespan_ms
+    bw_lo, bw_hi = cfg.edge_bandwidth_mbps
+    lat_lo, lat_hi = cfg.edge_latency_ms
+    ms_w, bw_w, lat_w = ms_hi - ms_lo, bw_hi - bw_lo, lat_hi - lat_lo
+    p = cfg.link_probability
+    log_q = math.log1p(-p) if 0.0 < p < 1.0 else 0.0
+    log = math.log
+    max_total = cfg.max_total_tasks
     apps: list[Application] = []
     total_tasks = 0
     for a in range(cfg.app_count):
-        n = rng.randint(*cfg.tasks_per_app)
-        if total_tasks + n > cfg.max_total_tasks:
+        n = draw(n_lo, n_span)
+        if total_tasks + n > max_total:
             break
         total_tasks += n
         app_id = f"app-{a}"
@@ -152,38 +160,48 @@ def generate_workload(cfg: WorkloadConfig, graph: ResourceGraph,
         # from earlier to later labels.
         order = list(range(n))
         rng.shuffle(order)
-        tasks = [Task(
-            id=f"{app_id}/t{order[i]}",
-            cpu_demand=rng.randint(*cfg.cpu),
-            mem_demand=rng.randint(*cfg.mem_mb),
-            makespan=rng.uniform(*cfg.makespan_ms),
-            priority=rng.randint(*cfg.priority),
-        ) for i in range(n)]
+        tasks = [Task(f"{app_id}/t{order[i]}", draw(cpu_lo, cpu_span),
+                      draw(mem_lo, mem_span), ms_lo + ms_w * random_(),
+                      draw(pr_lo, pr_span))
+                 for i in range(n)]
         n_pairs = n * (n - 1) // 2
-        edge_pairs = [_pair_from_slot(s) for s in
-                      _sample_edge_slots(n_pairs, cfg.link_probability, rng)]
-        edge_pairs.sort()
-        degree = [0] * n
-        for i, j in edge_pairs:
-            degree[i] += 1
-            degree[j] += 1
+        if p >= 1.0:
+            edge_pairs = [(i, j) for j in range(n) for i in range(j)]
+        else:
+            edge_pairs = []
+            if p > 0.0 and n_pairs:
+                # Slots ascend, so the pair (i, j) of slot pos is found by
+                # stepping j up past each slot block [j(j-1)/2, j(j+1)/2).
+                # A gap that jumps past the last slot ends the walk before
+                # int() sees it: with a subnormal p it can be infinite.
+                pos, j, base, last = -1, 1, 0, n_pairs - 1
+                while True:
+                    gap = log(1.0 - random_()) / log_q
+                    if gap >= last - pos:
+                        break
+                    pos += int(gap) + 1
+                    while pos >= base + j:
+                        base += j
+                        j += 1
+                    edge_pairs.append((pos - base, j))
         if n > 1:
+            degree = [0] * n
+            for i, j in edge_pairs:
+                degree[i] += 1
+                degree[j] += 1
             for i in range(n):
                 if degree[i] == 0:
-                    other = rng.randrange(i) if i > 0 else 1 + rng.randrange(n - 1)
+                    other = draw(0, i) if i > 0 else draw(1, n - 1)
                     src, dst = (other, i) if other < i else (i, other)
                     edge_pairs.append((src, dst))
                     degree[src] += 1
                     degree[dst] += 1
         edge_pairs.sort()
-        edges = [TaskEdge(
-            src=tasks[i].id,
-            dst=tasks[j].id,
-            bandwidth_demand=rng.uniform(*cfg.edge_bandwidth_mbps),
-            max_latency=rng.uniform(*cfg.edge_latency_ms),
-        ) for i, j in edge_pairs]
-        home = fn_ids[rng.randrange(len(fn_ids))]
-        apps.append(Application(id=app_id, tasks=tasks, edges=edges, home_fn=home))
+        edges = [TaskEdge(tasks[i].id, tasks[j].id, bw_lo + bw_w * random_(),
+                          lat_lo + lat_w * random_())
+                 for i, j in edge_pairs]
+        apps.append(Application(id=app_id, tasks=tasks, edges=edges,
+                                home_fn=fn_ids[draw(0, n_fns)]))
     return apps
 
 
@@ -245,14 +263,19 @@ def validate_dag(app: Application) -> list[str]:
     return violations
 
 
+def _objects(doc: dict, part: str) -> list[dict]:
+    """The application's `part` ("tasks" or "edges"): a list of JSON objects."""
+    entries = doc[part]
+    if not isinstance(entries, list):
+        raise WorkloadError(f"{part} must be a list of objects, not {entries!r}")
+    for k, raw in enumerate(entries):
+        if not isinstance(raw, dict):
+            raise WorkloadError(f"{part}[{k}] must be an object, not {raw!r}")
+    return entries
+
+
 def _number(raw: dict, name: str, owner: str) -> int | float:
-    """A numeric document field: an int or a finite float, never a bool."""
-    value = raw[name]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not math.isfinite(value)):
-        raise WorkloadError(f"{owner}: {name} must be a finite number, "
-                            f"not {value!r}")
-    return value
+    return config_number(raw[name], f"{owner}: {name}", WorkloadError)
 
 
 def load_application(doc: dict) -> Application:
@@ -266,9 +289,10 @@ def load_application(doc: dict) -> Application:
     missing = allowed - set(doc)
     if missing:
         raise WorkloadError(f"missing application fields: {sorted(missing)}")
+    raw_tasks, raw_edges = _objects(doc, "tasks"), _objects(doc, "edges")
     task_fields = {"id", "cpu", "mem_mb", "makespan_ms", "priority"}
     tasks = []
-    for raw in doc["tasks"]:
+    for raw in raw_tasks:
         extra = set(raw) - task_fields
         if extra:
             raise WorkloadError(f"unknown task fields: {sorted(extra)}")
@@ -283,7 +307,7 @@ def load_application(doc: dict) -> Application:
                           priority=_number(raw, "priority", owner)))
     edge_fields = {"src", "dst", "bandwidth_mbps", "max_latency_ms"}
     edges = []
-    for raw in doc["edges"]:
+    for raw in raw_edges:
         extra = set(raw) - edge_fields
         if extra:
             raise WorkloadError(f"unknown edge fields: {sorted(extra)}")
@@ -296,7 +320,8 @@ def load_application(doc: dict) -> Application:
                               max_latency=_number(raw, "max_latency_ms", owner)))
     home = doc["home_fn"]
     try:
-        home_id = NodeId.parse(home) if isinstance(home, str) else NodeId(FOG, int(home))
+        home_id = (NodeId.parse(home) if isinstance(home, str) else
+                   NodeId(FOG, config_number(home, "home_fn", ValueError, True)))
     except ValueError:
         raise WorkloadError(f"home_fn {home!r} is not a node id") from None
     app = Application(id=str(doc["id"]), tasks=tasks, edges=edges, home_fn=home_id)

@@ -70,6 +70,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert "[min, max] pair" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("doc,field,value", [
+        ("workload", "app_count", "5"), ("workload", "app_count", True),
+        ("workload", "cpu", [1.5, 4]), ("env", "fns", "x"),
+        ("env", "cloud_cpu", "x"), ("env", "fns", True),
+        ("env", "fcis", False)])
+    def test_mistyped_config_field(self, doc, field, value, tmp_path, capsys):
+        env = {**ENV_DOC, field: value} if doc == "env" else ENV_DOC
+        wl = {**WL_DOC, field: value} if doc == "workload" else WL_DOC
+        assert main(["run", "--env", write_json(tmp_path / "env.json", env),
+                     "--workload", write_json(tmp_path / "wl.json", wl),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be" in err and "Traceback" not in err
+
+    def test_integral_float_range_writes_same_metrics(self, configs, tmp_path):
+        metrics = []
+        for name, cpu in (("ints", [1, 4]), ("floats", [1.0, 4.0])):
+            wl = write_json(tmp_path / f"{name}.json", {**WL_DOC, "cpu": cpu})
+            assert main(run_args((configs[0], wl), tmp_path / name)) == 0
+            metrics.append((tmp_path / name / "metrics.csv").read_bytes())
+        assert metrics[0] == metrics[1]
+
     def test_unknown_config_key(self, configs, tmp_path):
         env = write_json(tmp_path / "bad.json", {**ENV_DOC, "nodes": 5})
         assert main(["run", "--env", env, "--workload", configs[1],
@@ -201,6 +223,20 @@ class TestOracle:
         err = capsys.readouterr().err
         assert (f"{field} must be a finite number" in err
                 and "Traceback" not in err)
+
+    @pytest.mark.parametrize("part,value,message", [
+        ("tasks", [1], "tasks[0] must be an object"),
+        ("tasks", 5, "tasks must be a list of objects"),
+        ("edges", ["x"], "edges[0] must be an object")])
+    def test_malformed_shape_exit_code(self, part, value, message, tmp_path,
+                                       capsys):
+        doc = json.loads(Path(self.app_doc(tmp_path)).read_text())
+        doc[part] = value
+        code = main(["oracle", "--app", write_json(tmp_path / "bad.json", doc),
+                     "--env", self.env_file(tmp_path), "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_oversize_instance_exit_code(self, tmp_path):
         code = main(["oracle", "--app", self.app_doc(tmp_path, n_tasks=8),

@@ -317,6 +317,22 @@ class TestEnvConfig:
         with pytest.raises(GraphConfigError):
             EnvConfig(fns=2, fcis=0)
 
+    def test_integral_floats_read_as_ints(self):
+        env = EnvConfig(fns=4.0, fcis=2.0, cpu=(4.0, 8), cloud_cpu=100.0)
+        assert (env.fns, env.fcis, env.cpu, env.cloud_cpu) == (4, 2, (4, 8), 100)
+        assert all(type(v) is int for v in (env.fns, env.fcis, *env.cpu,
+                                            env.cloud_cpu))
+
+    @pytest.mark.parametrize("field,value", [
+        ("fns", "x"), ("fns", True), ("fcis", False), ("fns", 2.5),
+        ("cloud_cpu", "x"), ("cloud_mem_mb", 1.5), ("cpu", (4, "8")),
+        ("mips", (3000.5, 5000)), ("bw_fn_fci_mbps", (300, float("nan"))),
+        ("lat_fci_fci_ms", (True, 200)), ("fci_link_probability", True),
+        ("cloud_scale", float("inf")), ("cloud_scale", None)])
+    def test_mistyped_field_rejected(self, field, value):
+        with pytest.raises(GraphConfigError, match=field):
+            EnvConfig(**{"fns": 2, "fcis": 1, field: value})
+
 
 class TestNodeId:
     def test_parse_round_trip(self):
