@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .ordering import OrderingError, Weights, order_tasks
+from .ordering import OrderingError, Weights
 from .oracle import OracleLimits, OracleSizeError, compare_with_heuristic, exhaustive_place
 from .placement import ResourceMatrix
 from .simkit import (ALGORITHMS, ExperimentConfig, FluctuationConfig,
@@ -86,7 +86,10 @@ def _parse_weights(text: str) -> Weights:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or UTF-8, or an int over 4300 digits
+            raise CliConfigError(f"{path}: {exc}") from None
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
@@ -219,7 +222,7 @@ def cmd_run(args) -> int:
     try:
         cfg = _build_run_config(args)
     except (CliConfigError, GraphConfigError, WorkloadError, OrderingError,
-            SimError, json.JSONDecodeError) as exc:
+            SimError) as exc:
         log.error("invalid configuration: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -271,8 +274,7 @@ def cmd_oracle(args) -> int:
         else:
             raise CliConfigError("--env or --preset is required")
         app = load_application(_load_json(args.app))
-    except (CliConfigError, GraphConfigError, WorkloadError,
-            json.JSONDecodeError) as exc:
+    except (CliConfigError, GraphConfigError, WorkloadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

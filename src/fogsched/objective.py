@@ -12,7 +12,6 @@ physical quantities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .placement import Placement, ResourceMatrix
@@ -262,9 +261,8 @@ def check_constraints(placement: Placement, app: Application,
                  f"{edge.max_latency:.3f} ms"))
     located = {n for n in placement.task_locations.values()
                if not isinstance(n, (list, set))}
-    home_ok = placement.home_fn in located
-    waived = getattr(placement, "home_pin_infeasible", False)
-    if not home_ok and not waived:
+    if (placement.home_fn not in located
+            and not placement.home_pin_infeasible):
         violations.append(("home-fn", str(placement.home_fn),
                            "no task placed on the home fog node"))
     return violations

@@ -58,14 +58,14 @@ def map_assignment_edges(app: Application, graph: ResourceGraph,
                          levels: list[list[str]]):
     """Map a fixed assignment's edges as the heuristic does, on `rm`.
 
-    Levels are taken root first, and every edge is mapped at the later of
-    its endpoints' levels, after that level's tasks are located. Each level
-    is undone before the next. Returns the edge paths, or None if some edge
-    has no bandwidth-feasible path. `rm` ends as passed.
+    `levels` are root first, as task_levels gives them, and every edge is
+    mapped at the later of its endpoints' levels, after that level's tasks
+    are located. Each level is undone before the next. Returns the edge
+    paths, or None if some edge has no bandwidth-feasible path. `rm` ends
+    as passed.
     """
     placement = Placement(app_id=app.id, home_fn=app.home_fn)
-    placing = levels[::-1]
-    for level, edges in zip(placing, edges_by_level(app, placing)):
+    for level, edges in zip(levels, edges_by_level(app, levels)):
         placement.task_locations.update((t, assignment[t]) for t in level)
         log = rm.snapshot()
         map_level_edges(edges, placement, graph, rm, log)
@@ -212,7 +212,7 @@ def exhaustive_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
         app_id=app.id, home_fn=home,
         task_locations=dict(best_assignment),
         edge_paths=best_paths,
-        level_order=[sorted(level) for level in reversed(levels)],
+        level_order=[sorted(level) for level in levels],
         home_pin_infeasible=not home_required,
     )
     return OracleResult(feasible=True, best_placement=placement,

@@ -4,7 +4,7 @@ Each task gets a weighted multi-dimensional critical value WV — the product of
 weighted normalized makespan, priority, and resource demand — and a mean
 critical value MCV = WV / (out_degree + delta). Tasks are grouped into
 precedence levels (leaves at level 0, a parent strictly above all its
-children) and each level is stored sorted ascending by MCV.
+children), listed root first, each level sorted once by (-score, task id).
 """
 
 from __future__ import annotations
@@ -42,12 +42,16 @@ class Weights:
 
 @dataclass
 class ProcessQueue:
-    """Levels of task ids; level 0 holds the leaves, roots sit on top."""
+    """Levels of task ids in placing order (see placing_queue)."""
     levels: list[list[str]]
     mcv: dict[str, float]
 
-    def level_of(self) -> dict[str, int]:
-        return {t: k for k, level in enumerate(self.levels) for t in level}
+
+def placing_queue(levels: list[list[str]], score: dict) -> ProcessQueue:
+    """The queue of root-first `levels`, each sorted in place by (-score, id)."""
+    for level in levels:
+        level.sort(key=lambda t: (-score[t], t))
+    return ProcessQueue(levels=levels, mcv=score)
 
 
 def normalize_makespan(app: Application) -> dict[str, float]:
@@ -104,7 +108,8 @@ def mean_critical_value(wv: float, out_degree: int,
 
 
 def task_levels(app: Application) -> list[list[str]]:
-    """Precedence levels: leaves at level 0, parent = 1 + max child level."""
+    """Precedence levels, root first: leaves are level 0, a parent 1 + its
+    highest child's level; each level's tasks in app task order."""
     return _levels(app, app.children())
 
 
@@ -132,14 +137,14 @@ def _levels(app: Application, children: dict[str, list[str]]) -> list[list[str]]
     depth = max(level.values(), default=-1) + 1
     levels: list[list[str]] = [[] for _ in range(depth)]
     for t in app.tasks:
-        levels[level[t.id]].append(t.id)
+        levels[depth - 1 - level[t.id]].append(t.id)
     return levels
 
 
 def order_tasks(app: Application, graph: ResourceGraph,
                 weights: Weights | None = None,
                 delta: float = DEFAULT_DELTA) -> ProcessQueue:
-    """Group tasks into levels and sort each level ascending by MCV."""
+    """HeRAFC's placing order: levels root first, each by descending MCV."""
     weights = weights or Weights()
     m_hat = normalize_makespan(app)
     p_hat = normalize_priority(app)
@@ -149,7 +154,4 @@ def order_tasks(app: Application, graph: ResourceGraph,
     children = app.children()
     mcv = {t: mean_critical_value(wv[t], len(children[t]), delta)
            for t in wv}
-    levels = _levels(app, children)
-    for level in levels:
-        level.sort(key=lambda t: (mcv[t], t))
-    return ProcessQueue(levels=levels, mcv=mcv)
+    return placing_queue(_levels(app, children), mcv)

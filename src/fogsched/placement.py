@@ -1,11 +1,10 @@
 """Multi-hop location selection and task-edge path mapping.
 
-Levels are consumed root-first (LIFO over the level queue), tasks within a
-level in descending mean-critical-value order. Each task is first-fit against
-the app's home fog node, then the fog nodes 1 hop from it, then those 2 hops
-from it, and finally the cloud, in one pass per app. Each edge is mapped
-once, at the later of its endpoints' levels, on a latency-shortest
-bandwidth-feasible path.
+Levels and their tasks are placed in the order the caller gives (HeRAFC: its
+process queue, see ordering). Each task is first-fit against the app's home
+fog node, then the fog nodes 1 hop from it, then those 2 hops from it, and
+finally the cloud, in one pass per app. Each edge is mapped once, at the
+later of its endpoints' levels, on a latency-shortest bandwidth-feasible path.
 
 Each level debits the live resource matrix and records a level log: the
 amount debited per node and link, and the exact held value each key's first
@@ -336,10 +335,7 @@ def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
 
 def herafc_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
                  queue: ProcessQueue) -> Placement:
-    """Place one application root level first, each level in descending
-    mean-critical-value order, against the home FN, the 1-hop and 2-hop fog
-    nodes, then the cloud."""
-    levels = [sorted(level, key=lambda t: (-queue.mcv[t], t))
-              for level in reversed(queue.levels)]
-    return place_levels(app, graph, rm, levels,
+    """Place one application in the queue's placing order against the home
+    FN, the 1-hop and 2-hop fog nodes, then the cloud."""
+    return place_levels(app, graph, rm, queue.levels,
                         _candidate_stages(graph, app.home_fn))

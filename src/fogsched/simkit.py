@@ -17,7 +17,8 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 
-from .ordering import DEFAULT_DELTA, ProcessQueue, Weights, order_tasks, task_levels
+from .ordering import (DEFAULT_DELTA, ProcessQueue, Weights, order_tasks,
+                       placing_queue, task_levels)
 from .placement import (Envelope, Placement, ResourceMatrix, herafc_place,
                         place_levels)
 from .objective import DEFAULT_BIG_DELTA, check_constraints, eval_mfc
@@ -74,13 +75,8 @@ class ExperimentConfig:
 
 
 def baseline_order(app: Application, kind: str, seed) -> ProcessQueue:
-    """Precedence levels with a non-WMD within-level order.
-
-    The queue's score field encodes the intended consumption rank (placement
-    consumes descending): raw priority for kind="priority", a seeded shuffle
-    for kind="random".
-    """
-    levels = task_levels(app)
+    """HeRAFC's precedence levels, each ranked by a non-WMD score instead:
+    raw priority for kind="priority", a seeded shuffle for kind="random"."""
     if kind == "priority":
         score = {t.id: float(t.priority) for t in app.tasks}
     elif kind == "random":
@@ -90,9 +86,7 @@ def baseline_order(app: Application, kind: str, seed) -> ProcessQueue:
         score = {tid: float(len(ids) - i) for i, tid in enumerate(ids)}
     else:
         raise SimError(f"unknown baseline order kind {kind!r}")
-    for level in levels:
-        level.sort(key=lambda t: (score[t], t))
-    return ProcessQueue(levels=levels, mcv=score)
+    return placing_queue(task_levels(app), score)
 
 
 def baseline_cloud_first(app: Application, graph: ResourceGraph,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import heapq
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,6 +19,7 @@ from typing import NamedTuple
 FOG = "fog"
 FCI = "fci"
 CLOUD = "cloud"
+_FLOAT_MAX = sys.float_info.max
 
 
 class GraphConfigError(ValueError):
@@ -73,12 +75,14 @@ class Link:
 
 def config_number(value, name: str, error: type[ValueError],
                   integral: bool = False):
-    """A config or document field: an int or a finite float, never a bool.
-    An integral field also takes an integral float and returns it as an int
-    (4.0 is read as 4); anything else raises `error`."""
+    """A config or document field: an int within the float range or a finite
+    float, never a bool. An integral field also takes an integral float and
+    returns it as an int (4.0 is read as 4); anything else raises `error`."""
     kind = type(value)
     if kind is int:
-        return value
+        if -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return value
+        raise error(f"{name} must lie within the float range")
     if kind is float and math.isfinite(value):
         if not integral:
             return value
@@ -95,7 +99,8 @@ def config_range(value, name: str, error: type[ValueError],
         lo, hi = value
     except (TypeError, ValueError):
         raise error(f"{name} must be a [min, max] pair") from None
-    if type(lo) is not int or type(hi) is not int:
+    if (type(lo) is not int or type(hi) is not int
+            or lo < -_FLOAT_MAX or hi > _FLOAT_MAX):
         lo = config_number(lo, name, error, integral)
         hi = config_number(hi, name, error, integral)
     if lo > hi:

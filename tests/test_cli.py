@@ -84,6 +84,36 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"{field} must be" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("doc,field", [
+        ("env", "bw_fn_fci_mbps"), ("env", "cpu"),
+        ("workload", "makespan_ms"), ("workload", "cpu")])
+    def test_range_int_beyond_float_refused(self, doc, field, tmp_path, capsys):
+        # 10**400 has no float: it would overflow wherever it meets one
+        value = [1, 10**400]
+        env = {**ENV_DOC, field: value} if doc == "env" else ENV_DOC
+        wl = {**WL_DOC, field: value} if doc == "workload" else WL_DOC
+        assert main(["run", "--env", write_json(tmp_path / "env.json", env),
+                     "--workload", write_json(tmp_path / "wl.json", wl),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} must lie within the float range" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        b'{"fns": 4, "fcis": 2, "cpu": [1, 1' + b"0" * 5000 + b"]}",
+        b'{"fns": 4, "fcis": 2, "bw_fn_fci_mbps": [1, 2]',
+        b'{"fns": "\xff"}'])
+    def test_unreadable_config_json_refused(self, text, configs, tmp_path,
+                                            capsys):
+        # an int of over 4300 digits and bad UTF-8 raise ValueError, not
+        # JSONDecodeError, inside json.load
+        env = tmp_path / "env.json"
+        env.write_bytes(text)
+        assert main(["run", "--env", str(env), "--workload", configs[1],
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {env}: " in err and "Traceback" not in err
+
     def test_integral_float_range_writes_same_metrics(self, configs, tmp_path):
         metrics = []
         for name, cpu in (("ints", [1, 4]), ("floats", [1.0, 4.0])):

@@ -15,6 +15,11 @@ from conftest import make_app, make_edge, make_task
 THIRDS = Weights()
 
 
+def placing_position(levels):
+    """Each task's level index in placing order (0 = placed first)."""
+    return {t: k for k, level in enumerate(levels) for t in level}
+
+
 class TestNormalizeMakespan:
     def test_hand_values(self):
         app = make_app([make_task("a", makespan=10.0),
@@ -139,7 +144,7 @@ class TestTaskLevels:
     def test_chain(self):
         app = make_app([make_task("a"), make_task("b"), make_task("c")],
                        [make_edge("a", "b"), make_edge("b", "c")])
-        assert task_levels(app) == [["c"], ["b"], ["a"]]
+        assert task_levels(app) == [["a"], ["b"], ["c"]]
 
     def test_single_task(self):
         assert task_levels(make_app([make_task("a")])) == [["a"]]
@@ -148,17 +153,15 @@ class TestTaskLevels:
         app = make_app([make_task(t) for t in "abcd"],
                        [make_edge("a", "b"), make_edge("a", "c"),
                         make_edge("b", "d"), make_edge("c", "d")])
-        assert task_levels(app) == [["d"], ["b", "c"], ["a"]]
+        assert task_levels(app) == [["a"], ["b", "c"], ["d"]]
 
     def test_parent_above_highest_child(self):
-        # a feeds both a leaf and a chain: a must sit above the whole chain
+        # a feeds both a leaf and a chain: a must sit above the whole chain,
+        # so a is level 2 (listed first) and the leaf d is level 0 (last)
         app = make_app([make_task(t) for t in "abcd"],
                        [make_edge("a", "b"), make_edge("a", "d"),
                         make_edge("b", "c")])
-        levels = task_levels(app)
-        level_of = {t: k for k, level in enumerate(levels) for t in level}
-        assert level_of["a"] == 2
-        assert level_of["d"] == 0
+        assert task_levels(app) == [["a"], ["b"], ["c", "d"]]
 
 
 class TestOrderTasks:
@@ -166,26 +169,27 @@ class TestOrderTasks:
         app = make_app([make_task("a"), make_task("b"), make_task("c")],
                        [make_edge("a", "b"), make_edge("b", "c")])
         q = order_tasks(app, two_cluster_graph)
-        assert q.levels == [["c"], ["b"], ["a"]]
+        assert q.levels == [["a"], ["b"], ["c"]]
 
     def test_diamond_tie_broken_by_id(self, two_cluster_graph):
         app = make_app([make_task(t) for t in "abcd"],
                        [make_edge("a", "b"), make_edge("a", "c"),
                         make_edge("b", "d"), make_edge("c", "d")])
         q = order_tasks(app, two_cluster_graph)
-        assert q.levels == [["d"], ["b", "c"], ["a"]]
+        assert q.mcv["b"] == q.mcv["c"]
+        assert q.levels == [["a"], ["b", "c"], ["d"]]
 
-    def test_within_level_ascending_mcv(self, two_cluster_graph):
+    def test_within_level_descending_mcv(self, two_cluster_graph):
         app = make_app(
             [make_task("a", priority=1), make_task("b", priority=5),
              make_task("c", priority=3), make_task("root")],
             [make_edge("root", "a"), make_edge("root", "b"),
              make_edge("root", "c")])
         q = order_tasks(app, two_cluster_graph)
-        leaves = q.levels[0]
-        assert leaves == ["a", "c", "b"]  # ascending by priority-driven MCV
+        leaves = q.levels[-1]
+        assert leaves == ["b", "c", "a"]  # descending by priority-driven MCV
         mcvs = [q.mcv[t] for t in leaves]
-        assert mcvs == sorted(mcvs)
+        assert mcvs == sorted(mcvs, reverse=True)
 
     def test_every_task_exactly_once(self, two_cluster_graph):
         app = make_app([make_task(f"t{i}") for i in range(6)],
@@ -201,9 +205,9 @@ class TestOrderTasks:
                        [make_edge("t0", "t1"), make_edge("t1", "t2"),
                         make_edge("t0", "t3"), make_edge("t3", "t4")])
         q = order_tasks(app, two_cluster_graph)
-        level_of = q.level_of()
+        position = placing_position(q.levels)
         for e in app.edges:
-            assert level_of[e.src] > level_of[e.dst]
+            assert position[e.src] < position[e.dst]
 
     def test_cycle_rejected(self, two_cluster_graph):
         app = make_app([make_task("a"), make_task("b")],
@@ -225,11 +229,63 @@ def test_generated_apps_keep_ordering_invariants(seed):
         q = order_tasks(app, graph)
         flat = [t for level in q.levels for t in level]
         assert sorted(flat) == sorted(t.id for t in app.tasks)
-        level_of = q.level_of()
+        position = placing_position(q.levels)
         for e in app.edges:
-            assert level_of[e.src] > level_of[e.dst]
+            assert position[e.src] < position[e.dst]
         for level in q.levels:
-            mcvs = [q.mcv[t] for t in level]
-            assert mcvs == sorted(mcvs)
+            keys = [(-q.mcv[t], t) for t in level]
+            assert keys == sorted(keys)
         for t, mcv in q.mcv.items():
             assert mcv > 0.0
+
+
+def two_step_placing_order(app, score):
+    """Test-only copy of the order placement used to rebuild: levels leaf
+    first, each sorted ascending by (score, id); then the levels reversed
+    and each sorted again by (-score, id)."""
+    level = {t.id: 0 for t in app.tasks}
+    for _ in app.tasks:
+        for e in app.edges:
+            level[e.src] = max(level[e.src], level[e.dst] + 1)
+    leaf_first = [[t.id for t in app.tasks if level[t.id] == k]
+                  for k in range(max(level.values()) + 1)]
+    for lv in leaf_first:
+        lv.sort(key=lambda t: (score[t], t))
+    return [sorted(lv, key=lambda t: (-score[t], t))
+            for lv in reversed(leaf_first)]
+
+
+def tied_app():
+    """A root over five identical leaves, listed out of id order: every
+    leaf's MCV and priority tie, so only the task id orders them."""
+    leaves = [f"t{i}" for i in (3, 1, 4, 0, 2)]
+    return make_app([make_task("root")] + [make_task(t) for t in leaves],
+                    [make_edge("root", t) for t in leaves])
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_placing_order_matches_the_two_step_reference(seed):
+    from conftest import make_graph
+    from fogsched.simkit import baseline_order
+    from fogsched.workload import WorkloadConfig, generate_workload
+    graph = make_graph(fn_caps=[(100, 1000), (8, 800), (8, 800), (8, 800)],
+                       clusters=[0, 0, 1, 1], fci_links=[(0, 1)])
+    cfg = WorkloadConfig(app_count=4, tasks_per_app=(2, 12),
+                         link_probability=0.4, max_total_tasks=100)
+    for app in [tied_app(), *generate_workload(cfg, graph, seed)]:
+        for q in (order_tasks(app, graph),
+                  baseline_order(app, "priority", seed),
+                  baseline_order(app, "random", seed)):
+            assert q.levels == two_step_placing_order(app, q.mcv)
+
+
+def test_tied_scores_refuse_reversing_an_ascending_level(two_cluster_graph):
+    # Reversing a level sorted by (mcv, id) breaks ties by descending id;
+    # the placing order breaks them by ascending id.
+    app = tied_app()
+    q = order_tasks(app, two_cluster_graph)
+    assert q.levels == [["root"], ["t0", "t1", "t2", "t3", "t4"]]
+    reversed_ascending = [sorted(lv, key=lambda t: (q.mcv[t], t))[::-1]
+                          for lv in q.levels]
+    assert reversed_ascending != two_step_placing_order(app, q.mcv)

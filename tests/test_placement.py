@@ -247,8 +247,7 @@ class TestHerafcPlace:
         q = order_tasks(app, two_cluster_graph)
         got = herafc_place(app, two_cluster_graph,
                            ResourceMatrix.from_graph(two_cluster_graph), q)
-        assert [sorted(level) for level in got.level_order] == \
-               [sorted(level) for level in reversed(q.levels)]
+        assert got.level_order == q.levels == [["a"], ["b", "c"], ["d"]]
 
     def test_constraint_clean_on_feasible_instance(self, two_cluster_graph):
         app = self.diamond_app()
@@ -476,9 +475,7 @@ def test_level_edge_lists_match_the_per_level_scan(monkeypatch):
         held = []
         for app in generate_workload(cfg, graph, seed):
             queue = order_tasks(app, graph)
-            herafc_levels = [sorted(level, key=lambda t: (-queue.mcv[t], t))
-                             for level in reversed(queue.levels)]
-            runs = ((herafc_levels, _candidate_stages(graph, app.home_fn)),
+            runs = ((queue.levels, _candidate_stages(graph, app.home_fn)),
                     ([sorted(t.id for t in app.tasks)], ((graph.cloud.id,),)))
             for levels, stages in runs:
                 got = place_levels(app, graph, rm_new, levels, stages)

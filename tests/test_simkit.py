@@ -128,10 +128,9 @@ class TestBaselineOrder:
     def test_priority_kind_consumes_high_priority_first(self):
         app = self.leveled_app()
         q = baseline_order(app, "priority", seed=1)
-        leaves = q.levels[0]
-        # stored ascending; consumption (descending score) yields 5, 3, 1
-        consumed = sorted(leaves, key=lambda t: (-q.mcv[t], t))
-        assert [app.task_by_id[t].priority for t in consumed] == [5, 3, 1]
+        assert q.levels[0] == ["root"]
+        # stored in placing order: highest priority first
+        assert [app.task_by_id[t].priority for t in q.levels[1]] == [5, 3, 1]
 
     def test_level_structure_matches_precedence(self):
         app = self.leveled_app()
@@ -148,9 +147,11 @@ class TestBaselineOrder:
         app = make_app([make_task(f"t{i}") for i in range(8)],
                        [make_edge("t0", f"t{i}") for i in range(1, 8)],
                        home=fn(0))
-        perms = {tuple(baseline_order(app, "random", seed=s).levels[0])
+        perms = {tuple(baseline_order(app, "random", seed=s).levels[1])
                  for s in range(10)}
         assert len(perms) > 1
+        assert all(baseline_order(app, "random", seed=s).levels[0] == ["t0"]
+                   for s in range(10))
 
     def test_single_task_level_unchanged(self):
         app = make_app([make_task("only")], home=fn(0))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from collections import deque
 
 import pytest
@@ -328,10 +329,18 @@ class TestEnvConfig:
         ("cloud_cpu", "x"), ("cloud_mem_mb", 1.5), ("cpu", (4, "8")),
         ("mips", (3000.5, 5000)), ("bw_fn_fci_mbps", (300, float("nan"))),
         ("lat_fci_fci_ms", (True, 200)), ("fci_link_probability", True),
-        ("cloud_scale", float("inf")), ("cloud_scale", None)])
+        ("cloud_scale", float("inf")), ("cloud_scale", None),
+        ("bw_fn_fci_mbps", (1, 10**400)), ("lat_fci_cloud_ms", (-10**400, 300)),
+        ("cpu", (1, 10**400)), ("cloud_cpu", 10**400),
+        ("cloud_scale", -10**400)])
     def test_mistyped_field_rejected(self, field, value):
         with pytest.raises(GraphConfigError, match=field):
             EnvConfig(**{"fns": 2, "fcis": 1, field: value})
+
+    def test_int_at_float_max_accepted(self):
+        top = int(sys.float_info.max)
+        env = EnvConfig(fns=2, fcis=1, bw_fn_fci_mbps=(1, top))
+        assert env.bw_fn_fci_mbps == (1.0, sys.float_info.max)
 
 
 class TestNodeId:

@@ -234,7 +234,7 @@ class TestApplicationDerivedState:
         assert {t: len(c) for t, c in children.items()} == {"a": 2, "b": 0, "c": 0}
         assert sorted(children["a"]) == ["b", "c"]
         assert [t for t, c in children.items() if "b" in c] == ["a"]
-        assert task_levels(app) == [["b", "c"], ["a"]]
+        assert task_levels(app) == [["a"], ["b", "c"]]
 
     def test_config_range_validation(self):
         with pytest.raises(WorkloadError):
