@@ -1,7 +1,8 @@
 """Command-line interface: run experiments, invoke the oracle, reshape CSVs.
 
 Exit codes: 0 success, 2 invalid configuration/flags, 3 I/O failure,
-4 oracle instance above the exhaustive-search limits.
+4 oracle instance above the exhaustive-search limits, 5 internal invariant
+failure (a mid-run SimError or PlacementError).
 """
 
 from __future__ import annotations
@@ -19,18 +20,17 @@ import sys
 from . import __version__
 from .ordering import OrderingError, Weights
 from .oracle import OracleLimits, OracleSizeError, compare_with_heuristic, exhaustive_place
-from .placement import ResourceMatrix
+from .placement import PlacementError, ResourceMatrix
 from .simkit import (ALGORITHMS, ExperimentConfig, FluctuationConfig,
                      MetricsReport, SimError, run_experiment)
 from .topology import EnvConfig, GraphConfigError, build_graph
 from .workload import WorkloadConfig, WorkloadError, load_application
 
-log = logging.getLogger("fogsched")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_ORACLE_SIZE = 4
+EXIT_INTERNAL = 5
 
 FIGURE_FAMILIES = ("util-fog", "util-cloud", "latency-by-priority",
                    "share-by-priority", "order-ablation", "timing")
@@ -221,16 +221,15 @@ def _build_run_config(args) -> ExperimentConfig:
 def cmd_run(args) -> int:
     try:
         cfg = _build_run_config(args)
-    except (CliConfigError, GraphConfigError, WorkloadError, OrderingError,
-            SimError) as exc:
-        log.error("invalid configuration: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"error reading config: {exc}", file=sys.stderr)
         return EXIT_IO
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    report = run_experiment(cfg)
+    try:
+        report = run_experiment(cfg)
+    except (SimError, PlacementError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
     doc = _config_dict(cfg)
     try:
@@ -295,6 +294,9 @@ def cmd_oracle(args) -> int:
     except OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_SIZE
+    except (SimError, PlacementError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
     if args.out:
         try:

@@ -98,7 +98,7 @@ def exhaustive_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
     # once, paths are contention-free and can be precomputed per node pair.
     total_demand = sum(e.bandwidth_demand for e in app.edges)
     max_demand = max((e.bandwidth_demand for e in app.edges), default=0.0)
-    min_link_bw = min((rm.residual_bw(k) for k in rm.capacity_bw), default=math.inf)
+    min_link_bw = min((rm.residual_bw(k) for k in rm.capacity.bw), default=math.inf)
     contention_free = total_demand <= min_link_bw
     path_table: dict = {}
     if contention_free and app.edges:

@@ -33,25 +33,32 @@ class PlacementError(ValueError):
 class _BwView:
     """Residual-bandwidth lookup for shortest_path over a ResourceMatrix."""
 
-    __slots__ = ("_rm",)
+    __slots__ = ("_effective", "_held")
 
     def __init__(self, rm: "ResourceMatrix"):
-        self._rm = rm
+        self._effective = rm.effective.bw
+        self._held = rm.held.bw
 
     def get(self, key, default=None):
-        eff = self._rm.effective_bw.get(key)
+        eff = self._effective.get(key)
         if eff is None:
             return default
-        return eff - self._rm.held_bw[key]
+        return eff - self._held[key]
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """Amounts per node (cpu, mem) and per link (bw)."""
 
     cpu: dict[NodeId, float] = field(default_factory=dict)
     mem: dict[NodeId, float] = field(default_factory=dict)
     bw: dict[tuple[NodeId, NodeId], float] = field(default_factory=dict)
+
+    def parts(self) -> tuple[dict, dict, dict]:
+        return self.cpu, self.mem, self.bw
+
+    def copy(self) -> "Envelope":
+        return Envelope(dict(self.cpu), dict(self.mem), dict(self.bw))
 
     def raise_to(self, level: "Envelope") -> None:
         """Raise each amount to the level's. New keys go last, so the key
@@ -62,107 +69,94 @@ class Envelope:
                 mine[key] = max(mine.get(key, 0.0), amt)
 
 
-@dataclass
+@dataclass(slots=True)
 class LevelLog(Envelope):
     """One level's debits on a live matrix, and what undoes them.
 
-    The amounts are summed from 0.0 in debit order. `prior_*` keeps the exact
+    The amounts are summed from 0.0 in debit order. `prior` keeps the exact
     held value that each key's first debit overwrote: undo puts it back
     rather than subtracting, because x + a - a != x in floating point.
     """
 
-    prior_cpu: dict[NodeId, float] = field(default_factory=dict)
-    prior_mem: dict[NodeId, float] = field(default_factory=dict)
-    prior_bw: dict[tuple[NodeId, NodeId], float] = field(default_factory=dict)
+    prior: Envelope = field(default_factory=Envelope)
 
 
-@dataclass
+@dataclass(slots=True)
 class ResourceMatrix:
-    """Residual cpu/mem per location and residual bandwidth per link.
+    """Residual cpu/mem per location and residual bandwidth per link, kept
+    as three Envelopes: the graph's capacity, the effective capacity and the
+    held amounts.
 
     Holdings and effective capacities are tracked separately so availability
     fluctuation can shrink capacity without ever revoking an existing hold.
     """
 
-    capacity_cpu: dict[NodeId, float]
-    capacity_mem: dict[NodeId, float]
-    capacity_bw: dict[tuple[NodeId, NodeId], float]
-    effective_cpu: dict[NodeId, float] = field(default_factory=dict)
-    effective_mem: dict[NodeId, float] = field(default_factory=dict)
-    effective_bw: dict[tuple[NodeId, NodeId], float] = field(default_factory=dict)
-    held_cpu: dict[NodeId, float] = field(default_factory=dict)
-    held_mem: dict[NodeId, float] = field(default_factory=dict)
-    held_bw: dict[tuple[NodeId, NodeId], float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.effective_cpu:
-            self.effective_cpu = dict(self.capacity_cpu)
-            self.effective_mem = dict(self.capacity_mem)
-            self.effective_bw = dict(self.capacity_bw)
-        if not self.held_cpu:
-            self.held_cpu = {n: 0.0 for n in self.capacity_cpu}
-            self.held_mem = {n: 0.0 for n in self.capacity_mem}
-            self.held_bw = {k: 0.0 for k in self.capacity_bw}
+    capacity: Envelope
+    effective: Envelope
+    held: Envelope
 
     @classmethod
     def from_graph(cls, graph: ResourceGraph) -> "ResourceMatrix":
         cpu = {n: float(c) for n, c in graph.capacity_cpu.items()}
         mem = {n: float(c) for n, c in graph.capacity_mem.items()}
         bw = {link.key: float(link.bandwidth_capacity) for link in graph.links}
-        return cls(capacity_cpu=cpu, capacity_mem=mem, capacity_bw=bw)
+        capacity = Envelope(cpu, mem, bw)
+        held = Envelope(dict.fromkeys(cpu, 0.0), dict.fromkeys(mem, 0.0),
+                        dict.fromkeys(bw, 0.0))
+        return cls(capacity, capacity.copy(), held)
 
     def residual_cpu(self, node: NodeId) -> float:
-        return self.effective_cpu[node] - self.held_cpu[node]
+        return self.effective.cpu[node] - self.held.cpu[node]
 
     def residual_mem(self, node: NodeId) -> float:
-        return self.effective_mem[node] - self.held_mem[node]
+        return self.effective.mem[node] - self.held.mem[node]
 
     def residual_bw(self, key) -> float:
-        return self.effective_bw[key] - self.held_bw[key]
+        return self.effective.bw[key] - self.held.bw[key]
 
     def bw_view(self) -> _BwView:
         return _BwView(self)
 
     def fits(self, task: Task, node: NodeId) -> bool:
-        return (self.residual_cpu(node) >= task.cpu_demand
-                and self.residual_mem(node) >= task.mem_demand)
+        effective, held = self.effective, self.held
+        return (effective.cpu[node] - held.cpu[node] >= task.cpu_demand
+                and effective.mem[node] - held.mem[node] >= task.mem_demand)
 
     def debit_task(self, task: Task, node: NodeId, log: LevelLog) -> None:
         if not self.fits(task, node):
             raise PlacementError(
                 f"debit would overdraw {node}: task {task.id} demands "
                 f"({task.cpu_demand}, {task.mem_demand})")
-        if node not in log.prior_cpu:
-            log.prior_cpu[node] = self.held_cpu[node]
-            log.prior_mem[node] = self.held_mem[node]
-        self.held_cpu[node] += task.cpu_demand
-        self.held_mem[node] += task.mem_demand
+        held, prior = self.held, log.prior
+        if node not in prior.cpu:
+            prior.cpu[node] = held.cpu[node]
+            prior.mem[node] = held.mem[node]
+        held.cpu[node] += task.cpu_demand
+        held.mem[node] += task.mem_demand
         log.cpu[node] = log.cpu.get(node, 0.0) + task.cpu_demand
         log.mem[node] = log.mem.get(node, 0.0) + task.mem_demand
 
     def debit_link(self, key, amount: float, log: LevelLog) -> None:
         if self.residual_bw(key) < amount - 1e-9:
             raise PlacementError(f"bandwidth debit would overdraw link {key}")
-        if key not in log.prior_bw:
-            log.prior_bw[key] = self.held_bw[key]
-        self.held_bw[key] += amount
+        held = self.held.bw
+        if key not in log.prior.bw:
+            log.prior.bw[key] = held[key]
+        held[key] += amount
         log.bw[key] = log.bw.get(key, 0.0) + amount
-
-    def _by_kind(self, envelope: Envelope):
-        return ((self.held_cpu, self.effective_cpu, envelope.cpu),
-                (self.held_mem, self.effective_mem, envelope.mem),
-                (self.held_bw, self.effective_bw, envelope.bw))
 
     def hold(self, envelope: Envelope) -> None:
         """Add an app's envelope to the held amounts; refuse any overdraw."""
-        for held, effective, amounts in self._by_kind(envelope):
+        for held, effective, amounts in zip(self.held.parts(),
+                                            self.effective.parts(),
+                                            envelope.parts()):
             for key, amt in amounts.items():
                 if effective[key] - held[key] < amt - 1e-9:
                     raise PlacementError(f"hold would overdraw {key}")
                 held[key] += amt
 
     def release(self, envelope: Envelope) -> None:
-        for held, _, amounts in self._by_kind(envelope):
+        for held, amounts in zip(self.held.parts(), envelope.parts()):
             for key, amt in amounts.items():
                 held[key] = max(0.0, held[key] - amt)
 
@@ -171,24 +165,18 @@ class ResourceMatrix:
         return LevelLog()
 
     def clone(self) -> "ResourceMatrix":
-        return ResourceMatrix(
-            capacity_cpu=self.capacity_cpu,
-            capacity_mem=self.capacity_mem,
-            capacity_bw=self.capacity_bw,
-            effective_cpu=dict(self.effective_cpu),
-            effective_mem=dict(self.effective_mem),
-            effective_bw=dict(self.effective_bw),
-            held_cpu=dict(self.held_cpu),
-            held_mem=dict(self.held_mem),
-            held_bw=dict(self.held_bw),
-        )
+        return ResourceMatrix(self.capacity, self.effective.copy(),
+                              self.held.copy())
 
 
 def reset_rm(rm: ResourceMatrix, log: LevelLog) -> None:
     """Undo a level log: put back every held value its debits overwrote."""
-    rm.held_cpu.update(log.prior_cpu)
-    rm.held_mem.update(log.prior_mem)
-    rm.held_bw.update(log.prior_bw)
+    # Part by part rather than a zip over parts(): this and raise_to run
+    # once per level, and the zips made each placement about 5% slower.
+    held, prior = rm.held, log.prior
+    held.cpu.update(prior.cpu)
+    held.mem.update(prior.mem)
+    held.bw.update(prior.bw)
 
 
 @dataclass

@@ -110,15 +110,14 @@ def apply_fluctuation(rm: ResourceMatrix, fluctuation: FluctuationConfig,
     supplied, link latencies are re-sampled within their configured ranges.
     """
     lo, hi = fluctuation.availability_range
-    for node in sorted(rm.capacity_cpu):
+    capacity, effective, held = rm.capacity, rm.effective, rm.held
+    for node in sorted(capacity.cpu):
         m = rng.uniform(lo, hi)
-        rm.effective_cpu[node] = max(rm.capacity_cpu[node] * m,
-                                     rm.held_cpu[node])
-        rm.effective_mem[node] = max(rm.capacity_mem[node] * m,
-                                     rm.held_mem[node])
-    for key in sorted(rm.capacity_bw):
+        effective.cpu[node] = max(capacity.cpu[node] * m, held.cpu[node])
+        effective.mem[node] = max(capacity.mem[node] * m, held.mem[node])
+    for key in sorted(capacity.bw):
         m = rng.uniform(lo, hi)
-        rm.effective_bw[key] = max(rm.capacity_bw[key] * m, rm.held_bw[key])
+        effective.bw[key] = max(capacity.bw[key] * m, held.bw[key])
     if graph is not None and env is not None:
         for link in graph.links:
             a, b = link.endpoints
@@ -200,14 +199,16 @@ class _Usage:
         self.now = 0.0
         self.capacity = {(tier, kind): 0.0 for tier in (FOG, CLOUD)
                          for kind in _RESOURCES}
-        self._bucket: dict[str, dict] = {}
-        for kind in _RESOURCES:
-            buckets = self._bucket[kind] = {}
-            for key, cap in getattr(rm, f"capacity_{kind}").items():
+        # Per resource, in Envelope.parts() order: each key's (tier, kind).
+        self._buckets: list[dict] = []
+        for kind, capacities in zip(_RESOURCES, rm.capacity.parts()):
+            buckets = {}
+            for key, cap in capacities.items():
                 ends = key if kind == "bw" else (key,)
                 tier = CLOUD if any(n.tier == CLOUD for n in ends) else FOG
                 buckets[key] = (tier, kind)
                 self.capacity[tier, kind] += cap
+            self._buckets.append(buckets)
         self.held = dict.fromkeys(self.capacity, 0.0)
         self.peak = dict(self.held)
         self.area = dict(self.held)
@@ -222,9 +223,8 @@ class _Usage:
 
     def apply(self, envelope: Envelope, sign: float) -> None:
         """Add (sign 1.0) or remove (sign -1.0) an app's hold."""
-        for kind in _RESOURCES:
-            buckets = self._bucket[kind]
-            for key, amt in getattr(envelope, kind).items():
+        for buckets, amounts in zip(self._buckets, envelope.parts()):
+            for key, amt in amounts.items():
                 self.held[buckets[key]] += sign * amt
         if sign > 0:
             for key, amount in self.held.items():
@@ -245,23 +245,26 @@ class _Usage:
 
 def _check_conservation(rm: ResourceMatrix, envelopes) -> None:
     """Every held amount must equal the sum of the active envelopes."""
-    for kind in _RESOURCES:
-        total: dict = {}
-        for envelope in envelopes:
-            for key, amt in getattr(envelope, kind).items():
-                total[key] = total.get(key, 0.0) + amt
-        for key, held in getattr(rm, f"held_{kind}").items():
-            if abs(held - total.get(key, 0.0)) > 1e-6:
+    total = Envelope()
+    for envelope in envelopes:
+        for sums, amounts in zip(total.parts(), envelope.parts()):
+            for key, amt in amounts.items():
+                sums[key] = sums.get(key, 0.0) + amt
+    for kind, held_amounts, sums in zip(_RESOURCES, rm.held.parts(),
+                                        total.parts()):
+        for key, held in held_amounts.items():
+            if abs(held - sums.get(key, 0.0)) > 1e-6:
                 raise SimError(f"conservation violated on {key} {kind}: held "
                                f"{held} vs active envelopes "
-                               f"{total.get(key, 0.0)}")
+                               f"{sums.get(key, 0.0)}")
 
 
 def _overdrawn(rm: ResourceMatrix) -> int:
     """Holds above effective capacity: one per node or link and resource."""
-    return sum(held > getattr(rm, f"effective_{kind}")[key] + 1e-9
-               for kind in _RESOURCES
-               for key, held in getattr(rm, f"held_{kind}").items())
+    return sum(held > effective[key] + 1e-9
+               for held_amounts, effective in zip(rm.held.parts(),
+                                                  rm.effective.parts())
+               for key, held in held_amounts.items())
 
 
 def run_replication(cfg: ExperimentConfig, seed: int,
@@ -332,9 +335,11 @@ def run_replication(cfg: ExperimentConfig, seed: int,
 
         if cfg.emit_objective and not placement.rejected and not placement.unmapped:
             breakdown = eval_mfc(placement, graph, live, big_delta=cfg.big_delta)
-            for terms in ("task_terms", "edge_latency_terms",
-                          "edge_bandwidth_terms"):
-                objective_totals[terms] += sum(getattr(breakdown, terms).values())
+            objective_totals["task_terms"] += sum(breakdown.task_terms.values())
+            objective_totals["edge_latency_terms"] += sum(
+                breakdown.edge_latency_terms.values())
+            objective_totals["edge_bandwidth_terms"] += sum(
+                breakdown.edge_bandwidth_terms.values())
             objective_totals["total"] += breakdown.total
             objective_totals["apps_scored"] += 1
 

@@ -50,7 +50,6 @@ class FogNode:
     id: NodeId
     cpu_capacity: int
     mem_capacity: int
-    mips: int
     attached_fci: NodeId
 
 
@@ -296,13 +295,11 @@ def build_graph(env: EnvConfig, seed) -> ResourceGraph:
     fns: list[FogNode] = []
     for i in range(env.fns):
         attached = fcis[rng.randrange(env.fcis)]
-        fns.append(FogNode(
-            id=NodeId(FOG, i),
-            cpu_capacity=rng.randint(*env.cpu),
-            mem_capacity=rng.randint(*env.mem_mb),
-            mips=rng.randint(*env.mips),
-            attached_fci=attached,
-        ))
+        cpu = rng.randint(*env.cpu)
+        mem = rng.randint(*env.mem_mb)
+        rng.randint(*env.mips)  # unread; drawn to keep the seeded stream
+        fns.append(FogNode(id=NodeId(FOG, i), cpu_capacity=cpu,
+                           mem_capacity=mem, attached_fci=attached))
 
     fn_cpu_sum = sum(fn.cpu_capacity for fn in fns)
     fn_mem_sum = sum(fn.mem_capacity for fn in fns)

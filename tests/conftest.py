@@ -30,7 +30,7 @@ def make_graph(fn_caps, clusters, fci_links=(), cloud_fcis=None,
     """
     n_fcis = max(clusters) + 1
     fcis = [fci(i) for i in range(n_fcis)]
-    fns = [FogNode(id=fn(i), cpu_capacity=cpu, mem_capacity=mem, mips=4000,
+    fns = [FogNode(id=fn(i), cpu_capacity=cpu, mem_capacity=mem,
                    attached_fci=fcis[clusters[i]])
            for i, (cpu, mem) in enumerate(fn_caps)]
     links = [Link((node.id, node.attached_fci), fn_fci_bw, fn_fci_latency)
@@ -57,6 +57,11 @@ def make_edge(src, dst, bw=50.0, max_latency=1000.0):
 def make_app(tasks, edges=(), home=None, app_id="app-x"):
     return Application(id=app_id, tasks=list(tasks), edges=list(edges),
                        home_fn=home if home is not None else fn(0))
+
+
+def matrix_state(rm):
+    """Every held and effective amount of a ResourceMatrix, in key order."""
+    return [list(d.items()) for d in (*rm.held.parts(), *rm.effective.parts())]
 
 
 @pytest.fixture

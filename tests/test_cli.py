@@ -2,12 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fogsched
+from fogsched import cli
 from fogsched.cli import (CSV_HEADER, config_hash, main, preset_config,
                           _parse_weights)
+from fogsched.placement import PlacementError, ResourceMatrix
+from fogsched.topology import EnvConfig, GraphConfigError
 from fogsched.workload import application_to_dict
 
 from conftest import fn, make_app, make_edge, make_task
@@ -148,6 +155,33 @@ class TestRun:
         assert main(run_args(configs, tmp_path / "o",
                              "--weights", "0.5,0.5,0.5")) == 2
 
+    def test_config_error_printed_once(self, configs, tmp_path):
+        # A child process: there, as in a shell, a log record would reach
+        # the same stderr as the printed message.
+        bad = {**ENV_DOC, "fns": -1}
+        with pytest.raises(GraphConfigError) as info:
+            EnvConfig.from_dict(bad)
+        src = str(Path(fogsched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fogsched.cli", "run",
+             "--env", write_json(tmp_path / "bad.json", bad),
+             "--workload", configs[1], "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr.count(str(info.value)) == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_internal_invariant_failure_exits_5(self, configs, tmp_path,
+                                                capsys, monkeypatch):
+        # Held amounts never released fail the end-of-run conservation audit.
+        monkeypatch.setattr(ResourceMatrix, "release",
+                            lambda self, envelope: None)
+        assert main(run_args(configs, tmp_path / "o")) == 5
+        err = capsys.readouterr().err
+        assert "internal error: conservation violated" in err
+        assert "Traceback" not in err
+
 
 RUN_FLOAT_FLAGS = ("--scale", "--delta", "--big-delta", "--fluctuate-interval",
                    "--admission-interval")
@@ -215,6 +249,18 @@ class TestOracle:
         doc = json.loads(capsys.readouterr().out)
         assert doc["feasible"] is True
         assert doc["heuristic_gap"] >= 1.0
+
+    def test_placement_error_exits_5(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise PlacementError("hold would overdraw fog-0")
+
+        monkeypatch.setattr(cli, "exhaustive_place", broken)
+        code = main(["oracle", "--app", self.app_doc(tmp_path),
+                     "--env", self.env_file(tmp_path), "--seed", "1"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "internal error: hold would overdraw" in err
+        assert "Traceback" not in err
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "oracle.json"

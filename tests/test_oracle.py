@@ -12,7 +12,8 @@ from fogsched.placement import Envelope, ResourceMatrix, herafc_place
 from fogsched.topology import EnvConfig, build_graph
 from fogsched.workload import WorkloadConfig, generate_workload
 
-from conftest import fn, make_app, make_edge, make_graph, make_task
+from conftest import (fn, make_app, make_edge, make_graph, make_task,
+                      matrix_state)
 
 
 def tiny_graph(**kw):
@@ -99,12 +100,6 @@ class TestFeasibility:
         assert a == b
 
 
-def matrix_state(rm):
-    return [list(d.items()) for d in (rm.held_cpu, rm.held_mem, rm.held_bw,
-                                      rm.effective_cpu, rm.effective_mem,
-                                      rm.effective_bw)]
-
-
 def heuristic_paths_remapped(app, graph, rm):
     """The heuristic's edge paths, and its assignment's edges mapped again."""
     heuristic = herafc_place(app, graph, rm, order_tasks(app, graph))
@@ -132,7 +127,7 @@ class TestContendedEdgeMapping:
             home=fn(0))
         rm = ResourceMatrix.from_graph(g)
         # held values that are not round: 0.1 + 20 - 20 != 0.1
-        rm.hold(Envelope(bw={key: 0.1 for key in rm.capacity_bw}))
+        rm.hold(Envelope(bw={key: 0.1 for key in rm.capacity.bw}))
         return g, app, rm
 
     def test_branch_taken_and_matrix_unchanged(self, monkeypatch):
@@ -173,7 +168,7 @@ class TestContendedEdgeMapping:
             (app,) = generate_workload(cfg, graph, f"{seed}:wl")
             rm = ResourceMatrix.from_graph(graph)
             if (sum(e.bandwidth_demand for e in app.edges)
-                    <= min(rm.residual_bw(k) for k in rm.capacity_bw)):
+                    <= min(rm.residual_bw(k) for k in rm.capacity.bw)):
                 continue
             before = matrix_state(rm)
             compare_with_heuristic(app, graph, rm)

@@ -20,7 +20,8 @@ from fogsched.topology import (CLOUD, EnvConfig, NoPath, PhysicalPath,
                                build_graph, hop_distance, shortest_path)
 from fogsched.workload import WorkloadConfig, generate_workload
 
-from conftest import CLOUD_ID, fn, make_app, make_edge, make_graph, make_task
+from conftest import (CLOUD_ID, fn, make_app, make_edge, make_graph,
+                      make_task, matrix_state)
 
 
 def place(app, graph, rm=None):
@@ -115,7 +116,7 @@ class TestMapLevelEdges:
 
     def test_same_node_zero_path_no_debit(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
-        before = dict(rm.held_bw)
+        before = dict(rm.held.bw)
         app, placement = self.app_on(two_cluster_graph,
                                      {"a": fn(0), "b": fn(0)})
         map_level_edges(app.edges, placement, two_cluster_graph, rm,
@@ -123,7 +124,7 @@ class TestMapLevelEdges:
         path = placement.edge_paths[("a", "b")]
         assert path.total_latency == 0.0
         assert path.nodes == (fn(0),)
-        assert rm.held_bw == before
+        assert rm.held.bw == before
 
     def test_two_link_path_debits_each_link(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
@@ -134,7 +135,7 @@ class TestMapLevelEdges:
         path = placement.edge_paths[("a", "b")]
         assert len(path.links) == 2  # via the shared FCI
         for key in path.links:
-            assert rm.held_bw[key] == pytest.approx(150.0)
+            assert rm.held.bw[key] == pytest.approx(150.0)
 
     def test_infeasible_bandwidth_marked_unmapped(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
@@ -172,31 +173,31 @@ class TestResetRm:
     def loaded(self, graph):
         """A matrix whose held values are not round: 0.1 + 2 - 2 != 0.1."""
         rm = ResourceMatrix.from_graph(graph)
-        link = next(iter(rm.capacity_bw))
+        link = next(iter(rm.capacity.bw))
         rm.hold(Envelope(cpu={fn(0): 0.1}, mem={fn(0): 0.1}, bw={link: 0.1}))
         return rm, link
 
     def test_reset_restores_snapshot(self, two_cluster_graph):
         rm, link = self.loaded(two_cluster_graph)
-        before = (dict(rm.held_cpu), dict(rm.held_mem), dict(rm.held_bw))
+        before = (dict(rm.held.cpu), dict(rm.held.mem), dict(rm.held.bw))
         log = rm.snapshot()
         rm.debit_task(make_task("a", cpu=2, mem=100), fn(0), log)
         rm.debit_link(link, 50.0, log)
         assert (log.cpu, log.mem, log.bw) == ({fn(0): 2.0}, {fn(0): 100.0},
                                               {link: 50.0})
         reset_rm(rm, log)
-        assert rm.held_cpu == before[0]
-        assert rm.held_mem == before[1]
-        assert rm.held_bw == before[2]
+        assert rm.held.cpu == before[0]
+        assert rm.held.mem == before[1]
+        assert rm.held.bw == before[2]
 
     def test_reset_idempotent(self, two_cluster_graph):
         rm, _ = self.loaded(two_cluster_graph)
         log = rm.snapshot()
         rm.debit_task(make_task("a", cpu=2, mem=100), fn(0), log)
         reset_rm(rm, log)
-        once = (dict(rm.held_cpu), dict(rm.effective_cpu))
+        once = (dict(rm.held.cpu), dict(rm.effective.cpu))
         reset_rm(rm, log)
-        assert (dict(rm.held_cpu), dict(rm.effective_cpu)) == once
+        assert (dict(rm.held.cpu), dict(rm.effective.cpu)) == once
 
     def test_specific_node_returns_to_snapshot_value(self, two_cluster_graph):
         rm, _ = self.loaded(two_cluster_graph)
@@ -238,9 +239,9 @@ class TestHerafcPlace:
 
     def test_does_not_mutate_input_matrix(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
-        before = dict(rm.held_cpu)
+        before = dict(rm.held.cpu)
         place(self.diamond_app(), two_cluster_graph, rm)
-        assert rm.held_cpu == before
+        assert rm.held.cpu == before
 
     def test_levels_consumed_root_first(self, two_cluster_graph):
         app = self.diamond_app()
@@ -336,7 +337,7 @@ def loaded_matrix(graph, rng):
     rm = LoggingMatrix.from_graph(graph)
     rm.logs = []
     nodes = sorted(graph.fn_by_id) + [graph.cloud.id]
-    links = sorted(rm.capacity_bw)
+    links = sorted(rm.capacity.bw)
     for _ in range(4):
         rm.hold(Envelope(
             cpu={n: rng.uniform(0.1, 0.9) for n in rng.sample(nodes, 3)},
@@ -345,12 +346,6 @@ def loaded_matrix(graph, rng):
     apply_fluctuation(rm, FluctuationConfig(interval_s=1.0,
                                             availability_range=(0.5, 0.9)), rng)
     return rm
-
-
-def matrix_state(rm):
-    return [list(d.items()) for d in (rm.held_cpu, rm.held_mem, rm.held_bw,
-                                      rm.effective_cpu, rm.effective_mem,
-                                      rm.effective_bw)]
 
 
 def level_amounts(got, app, level):

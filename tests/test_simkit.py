@@ -78,6 +78,24 @@ class TestRunExperiment:
         # stricter cadence exercises the double-entry audit at every instant
         run_replication(small_cfg(), seed=7, conservation_check_every=1)
 
+    def test_conservation_audit_catches_a_dropped_release(self, monkeypatch):
+        release, dropped = ResourceMatrix.release, []
+
+        def drop_one(rm, envelope):
+            if dropped or not any(envelope.parts()):
+                release(rm, envelope)
+            else:
+                dropped.append(envelope)
+
+        monkeypatch.setattr(ResourceMatrix, "release", drop_one)
+        with pytest.raises(SimError, match="conservation violated") as info:
+            run_replication(small_cfg(), seed=7, conservation_check_every=1)
+        (envelope,) = dropped
+        assert any(f" on {key} {kind}: " in str(info.value)
+                   for kind, amounts in zip(("cpu", "mem", "bw"),
+                                            envelope.parts())
+                   for key in amounts)
+
     def test_per_tier_utilization_is_exact(self, monkeypatch):
         # app-0 holds 4 cpu on fog-0 and 100 on the cloud for 0-400 ms, and
         # 50 Mbps on fog-0's FCI link (fog) and that FCI's cloud link
@@ -220,12 +238,12 @@ def test_home_fn_unused_exactly_when_nothing_fits_it():
 class TestApplyFluctuation:
     def test_identity_range_is_noop(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
-        before = dict(rm.effective_cpu)
+        before = dict(rm.effective.cpu)
         apply_fluctuation(rm,
                           FluctuationConfig(interval_s=1.0,
                                             availability_range=(1.0, 1.0)),
                           random.Random(1))
-        assert rm.effective_cpu == before
+        assert rm.effective.cpu == before
 
     def test_samples_within_range(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
@@ -234,8 +252,8 @@ class TestApplyFluctuation:
         rng = random.Random(2)
         for _ in range(50):
             apply_fluctuation(rm, fluct, rng)
-            for node, cap in rm.capacity_cpu.items():
-                assert 0.3 * cap - 1e-9 <= rm.effective_cpu[node] <= 0.7 * cap + 1e-9
+            for node, cap in rm.capacity.cpu.items():
+                assert 0.3 * cap - 1e-9 <= rm.effective.cpu[node] <= 0.7 * cap + 1e-9
 
     def test_holds_never_revoked(self, two_cluster_graph):
         rm = ResourceMatrix.from_graph(two_cluster_graph)
@@ -245,8 +263,8 @@ class TestApplyFluctuation:
         rng = random.Random(3)
         for _ in range(50):
             apply_fluctuation(rm, fluct, rng)
-            assert rm.effective_cpu[fn(0)] >= 40.0
-            assert rm.effective_mem[fn(0)] >= 400.0
+            assert rm.effective.cpu[fn(0)] >= 40.0
+            assert rm.effective.mem[fn(0)] >= 400.0
             assert rm.residual_cpu(fn(0)) >= 0.0
 
     def test_invalid_range_rejected(self):
@@ -270,9 +288,9 @@ class TestApplyFluctuation:
             # Shrink one held node's cpu below its hold, as a fluctuation
             # without the clamp would.
             real(rm, *args, **kwargs)
-            for node, held in rm.held_cpu.items():
+            for node, held in rm.held.cpu.items():
                 if held > 0:
-                    rm.effective_cpu[node] = held / 2
+                    rm.effective.cpu[node] = held / 2
                     squeezed.append(node)
                     break
             return rm

@@ -96,7 +96,7 @@ def hop_graphs(draw):
     fcis = [fci(i) for i in range(n_fcis)]
     clusters = draw(st.lists(st.integers(0, n_fcis - 1),
                              min_size=n_fns, max_size=n_fns))
-    fns = [FogNode(id=fn(i), cpu_capacity=8, mem_capacity=800, mips=4000,
+    fns = [FogNode(id=fn(i), cpu_capacity=8, mem_capacity=800,
                    attached_fci=fcis[c]) for i, c in enumerate(clusters)]
     links = [Link((node.id, node.attached_fci), 350.0, 60.0) for node in fns]
     pairs = list(itertools.combinations(range(n_fcis), 2))
@@ -219,14 +219,14 @@ def test_nopath_iff_no_feasible_route(seed, data):
                               fci_link_probability=0.5,
                               fn_cloud_link_probability=0.3), seed=seed)
     rm = ResourceMatrix.from_graph(g)
-    for key, cap in rm.capacity_bw.items():
-        rm.held_bw[key] = cap * data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]))
+    for key, cap in rm.capacity.bw.items():
+        rm.held.bw[key] = cap * data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]))
     nodes = sorted(g.adjacency)
     drained = data.draw(st.sampled_from([None] + nodes))
     if drained is not None:
         for _, link in g.adjacency[drained]:
-            rm.held_bw[link.key] = rm.effective_bw[link.key]
-    residuals = sorted({rm.residual_bw(k) for k in rm.capacity_bw} - {0.0})
+            rm.held.bw[link.key] = rm.effective.bw[link.key]
+    residuals = sorted({rm.residual_bw(k) for k in rm.capacity.bw} - {0.0})
     # An exact residual as the demand puts some links right at the boundary.
     demand = data.draw(st.floats(1.0, 1200.0) | st.sampled_from(residuals or [1.0]))
     for a, b in itertools.permutations(nodes, 2):
@@ -245,7 +245,7 @@ class TestEndpointPrecheck:
         g = two_cluster_graph
         rm = ResourceMatrix.from_graph(g)
         (_, link), = g.adjacency[fn(3)]
-        rm.held_bw[link.key] = rm.effective_bw[link.key] - 99.0
+        rm.held.bw[link.key] = rm.effective.bw[link.key] - 99.0
         for a, b in ((fn(0), fn(3)), (fn(3), fn(0))):
             assert isinstance(shortest_path(g, a, b, 100.0, rm.bw_view()), NoPath)
             assert not isinstance(shortest_path(g, a, b, 99.0, rm.bw_view()), NoPath)
