@@ -225,6 +225,7 @@ def check_constraints(placement: Placement, app: Application,
     # Capacity binds per level: consecutive levels run sequentially and may
     # reuse the same capacity, so sum demands within each level only.
     levels = placement.level_order or [sorted(placement.task_locations)]
+    task_by_id = app.task_by_id()
     for level in levels:
         used_cpu: dict = {}
         used_mem: dict = {}
@@ -232,7 +233,7 @@ def check_constraints(placement: Placement, app: Application,
             node = placement.task_locations.get(tid)
             if node is None or isinstance(node, (list, set)):
                 continue
-            task = app.task_by_id[tid]
+            task = task_by_id[tid]
             used_cpu[node] = used_cpu.get(node, 0.0) + task.cpu_demand
             used_mem[node] = used_mem.get(node, 0.0) + task.mem_demand
         for node, used in used_cpu.items():
@@ -282,10 +283,11 @@ def check_single_fog(assignment: ServerAssignment, app: Application,
             violations.append(("one-location", task.id,
                                f"task mapped to {len(loc)} servers"))
     used: dict[str, float] = {}
+    task_by_id = app.task_by_id()
     for tid, server in assignment.task_locations.items():
         if isinstance(server, (list, tuple, set)):
             continue
-        used[server] = used.get(server, 0.0) + app.task_by_id[tid].cpu_demand
+        used[server] = used.get(server, 0.0) + task_by_id[tid].cpu_demand
     for server, demand in used.items():
         if demand > model.residual(server) + 1e-9:
             violations.append(("capacity", server,

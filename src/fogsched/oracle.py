@@ -86,8 +86,8 @@ def exhaustive_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
     if len(locations) > limits.max_nodes:
         raise OracleSizeError(
             f"instance has {len(locations)} locations, limit is {limits.max_nodes}")
-    task_ids = sorted(t.id for t in app.tasks)
-    tasks = [app.task_by_id[t] for t in task_ids]
+    tasks = sorted(app.tasks, key=lambda t: t.id)
+    task_ids = [t.id for t in tasks]
     levels = task_levels(app)
     level_of = {t: k for k, level in enumerate(levels) for t in level}
 

@@ -237,14 +237,14 @@ def edges_by_level(app: Application, levels) -> list[list[TaskEdge]]:
     """Each task edge at the later of its endpoints' levels in placing order.
 
     `levels` holds every task of the app once. Each level's edges are sorted
-    by descending bandwidth demand, then key: the order they are mapped in.
+    by descending bandwidth demand, then (src, dst): the order of mapping.
     """
     level_of = {t: k for k, level in enumerate(levels) for t in level}
     by_level: list[list[TaskEdge]] = [[] for _ in levels]
     for edge in app.edges:
         by_level[max(level_of[edge.src], level_of[edge.dst])].append(edge)
     for edges in by_level:
-        edges.sort(key=lambda e: (-e.bandwidth_demand, e.key))
+        edges.sort(key=lambda e: (-e.bandwidth_demand, e.src, e.dst))
     return by_level
 
 
@@ -294,10 +294,11 @@ def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
     """
     placement = Placement(app_id=app.id, home_fn=app.home_fn)
     stages = ((app.home_fn,), *stages)
+    task_by_id = app.task_by_id()
     for level, edges in zip(levels, edges_by_level(app, levels)):
         log = rm.snapshot()
         for tid in level:
-            task = app.task_by_id[tid]
+            task = task_by_id[tid]
             for stage in stages:
                 node = try_deploy(task, stage, rm)
                 if node is not None:
@@ -313,7 +314,7 @@ def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
         placement.envelope.raise_to(log)
         placement.level_order.append(list(level))
         placement.level_durations.append(
-            max((app.task_by_id[t].makespan for t in level), default=0.0))
+            max((task_by_id[t].makespan for t in level), default=0.0))
     # Every level starts from the admission state and tries the home FN
     # first, so an unused home FN means no task of the app fits there.
     placement.home_pin_infeasible = (

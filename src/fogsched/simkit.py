@@ -15,6 +15,7 @@ import heapq
 import math
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .ordering import (DEFAULT_DELTA, ProcessQueue, Weights, order_tasks,
@@ -193,7 +194,8 @@ _RESOURCES = ("cpu", "mem", "bw")
 class _Usage:
     """Capacity, held amount, peak and time integral of cpu, mem and bw in
     each tier, on the run's one simulated clock. A link touching the cloud
-    counts as cloud; every other node and link counts as fog."""
+    counts as cloud; every other node and link counts as fog. `active` is
+    the running per-key total of the held envelopes, for the audit."""
 
     def __init__(self, rm: ResourceMatrix) -> None:
         self.now = 0.0
@@ -212,6 +214,7 @@ class _Usage:
         self.held = dict.fromkeys(self.capacity, 0.0)
         self.peak = dict(self.held)
         self.area = dict(self.held)
+        self.active = Envelope()
 
     def elapse(self, to: float) -> None:
         """Move the clock forward to `to`, integrating the held amounts."""
@@ -223,9 +226,11 @@ class _Usage:
 
     def apply(self, envelope: Envelope, sign: float) -> None:
         """Add (sign 1.0) or remove (sign -1.0) an app's hold."""
-        for buckets, amounts in zip(self._buckets, envelope.parts()):
+        for buckets, amounts, active in zip(self._buckets, envelope.parts(),
+                                            self.active.parts()):
             for key, amt in amounts.items():
                 self.held[buckets[key]] += sign * amt
+                active[key] = active.get(key, 0.0) + sign * amt
         if sign > 0:
             for key, amount in self.held.items():
                 self.peak[key] = max(self.peak[key], amount)
@@ -243,13 +248,9 @@ class _Usage:
         return {**average, **peak}
 
 
-def _check_conservation(rm: ResourceMatrix, envelopes) -> None:
-    """Every held amount must equal the sum of the active envelopes."""
-    total = Envelope()
-    for envelope in envelopes:
-        for sums, amounts in zip(total.parts(), envelope.parts()):
-            for key, amt in amounts.items():
-                sums[key] = sums.get(key, 0.0) + amt
+def _check_conservation(rm: ResourceMatrix, total: Envelope) -> None:
+    """Every held amount must equal the running total of the active
+    envelopes, kept apart from ResourceMatrix.hold and release."""
     for kind, held_amounts, sums in zip(_RESOURCES, rm.held.parts(),
                                         total.parts()):
         for key, held in held_amounts.items():
@@ -270,7 +271,8 @@ def _overdrawn(rm: ResourceMatrix) -> int:
 def run_replication(cfg: ExperimentConfig, seed: int,
                     conservation_check_every: int = 200) -> ReplicationReport:
     graph = build_graph(cfg.env, seed)
-    apps = generate_workload(cfg.workload, graph, f"{seed}:workload")
+    # Each app is popped when admitted and nothing keeps it once decided.
+    pending = deque(generate_workload(cfg.workload, graph, f"{seed}:workload"))
     live = ResourceMatrix.from_graph(graph)
     usage = _Usage(live)
     fluct_rng = random.Random(f"{seed}:fluctuation")
@@ -302,15 +304,21 @@ def run_replication(cfg: ExperimentConfig, seed: int,
         usage.elapse(until)
 
     violation_counts: dict[str, int] = {}
-    rejected_count = 0
-    latencies: dict[tuple[int, str], list[float]] = {}
+    rejected_count = task_count = 0
+    # Per (priority, tier): sample count and sum, added in order from 0.0 as
+    # Python 3.11's sum() adds (3.12's sum() compensates, so would differ).
+    latency_n = {(p, tier): 0 for p in range(1, 6) for tier in (FOG, CLOUD)}
+    latency_sum = dict.fromkeys(latency_n, 0.0)
     share_counts = {p: {FOG: 0, CLOUD: 0} for p in range(1, 6)}
     order_seconds = place_seconds = 0.0
     objective_totals = {"task_terms": 0.0, "edge_latency_terms": 0.0,
                         "edge_bandwidth_terms": 0.0, "total": 0.0,
                         "apps_scored": 0}
 
-    for k, app in enumerate(apps):
+    app_count = len(pending)
+    for k in range(app_count):
+        app = pending.popleft()
+        task_count += len(app.tasks)
         advance(k * cfg.admission_interval_ms)
 
         if cfg.algorithm != "cloud-first":
@@ -361,35 +369,33 @@ def run_replication(cfg: ExperimentConfig, seed: int,
             tier = CLOUD if node.tier == CLOUD else FOG
             share_counts[task.priority][tier] += 1
             if task.id in outgoing:
-                latencies.setdefault((task.priority, tier), []).append(
-                    outgoing[task.id])
+                latency_sum[task.priority, tier] += outgoing[task.id]
+                latency_n[task.priority, tier] += 1
 
         if (k + 1) % conservation_check_every == 0:
-            _check_conservation(live, [entry[2] for entry in releases])
+            _check_conservation(live, usage.active)
 
     while releases:
         advance(releases[0][0])
-    _check_conservation(live, [])
+    _check_conservation(live, usage.active)
 
     latency_by_priority = {}
     for p in range(1, 6):
         entry = latency_by_priority[p] = {}
         for tier in (FOG, CLOUD):
-            samples = latencies.get((p, tier), [])
-            entry[f"{tier}_avg_ms"] = (sum(samples) / len(samples)
-                                       if samples else None)
-            entry[f"{tier}_n"] = len(samples)
+            n = latency_n[p, tier]
+            entry[f"{tier}_avg_ms"] = latency_sum[p, tier] / n if n else None
+            entry[f"{tier}_n"] = n
     fog_share, cloud_share = {}, {}
     for p, counts in share_counts.items():
         total = counts[FOG] + counts[CLOUD]
         fog_share[p] = 100.0 * counts[FOG] / total if total else 0.0
         cloud_share[p] = 100.0 - fog_share[p] if total else 0.0
-    task_count = sum(len(a.tasks) for a in apps)
     timings = {"order_total_s": order_seconds, "place_total_s": place_seconds,
                "per_app_avg_ms": (1000.0 * (order_seconds + place_seconds)
-                                  / len(apps) if apps else 0.0)}
+                                  / app_count if app_count else 0.0)}
     return ReplicationReport(
-        seed=seed, app_count=len(apps), task_count=task_count,
+        seed=seed, app_count=app_count, task_count=task_count,
         fog_util=usage.util(FOG), cloud_util=usage.util(CLOUD),
         latency_by_priority=latency_by_priority,
         fog_share_by_priority=fog_share,

@@ -372,7 +372,7 @@ def nodes_within_hops(g: ResourceGraph, origins, h: int) -> set[NodeId]:
     """All FN/cloud locations within h hops of any origin, excluding origins.
 
     From a fog origin, an FN is within h hops when its FCI is within h - 1
-    FCI-FCI links of the origin's FCI, so the set is read off the FCI graph.
+    FCI-FCI links of the origin's FCI: that FCI, or (h = 2) a neighbor of it.
     """
     if h not in (1, 2):
         raise ValueError("h must be 1 or 2")
@@ -392,9 +392,9 @@ def nodes_within_hops(g: ResourceGraph, origins, h: int) -> set[NodeId]:
         d = hop_distance(g, origin, cloud)
         if d is not None and d <= h:
             result.add(cloud)
-        for fci, dist in g._fci_distances(g.fci_of[origin]).items():
-            if dist < h:
-                result.update(g.fns_by_fci[fci])
+        fci = g.fci_of[origin]
+        for near in (fci, *g.fci_adjacency[fci]) if h == 2 else (fci,):
+            result.update(g.fns_by_fci[near])
     return result - origins
 
 

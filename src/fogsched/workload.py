@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .topology import FOG, NodeId, ResourceGraph, config_number, config_range
 
@@ -46,14 +46,14 @@ class Application:
     tasks: list[Task]
     edges: list[TaskEdge]
     home_fn: NodeId
-    task_by_id: dict[str, Task] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.task_by_id = {t.id: t for t in self.tasks}
+    def task_by_id(self) -> dict[str, Task]:
+        """Each task by its id, built per call and not kept (as children())."""
+        return {t.id: t for t in self.tasks}
 
     def children(self) -> dict[str, list[str]]:
         """Each task's children in edge order, keyed in task order. Built per
-        call and not kept: a run holds every app until it ends."""
+        call and not kept."""
         children: dict[str, list[str]] = {t.id: [] for t in self.tasks}
         for edge in self.edges:
             children.setdefault(edge.src, []).append(edge.dst)

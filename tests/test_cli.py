@@ -15,7 +15,7 @@ from fogsched.cli import (CSV_HEADER, config_hash, main, preset_config,
                           _parse_weights)
 from fogsched.placement import PlacementError, ResourceMatrix
 from fogsched.topology import EnvConfig, GraphConfigError
-from fogsched.workload import application_to_dict
+from fogsched.workload import application_to_dict, load_application
 
 from conftest import fn, make_app, make_edge, make_task
 
@@ -145,6 +145,27 @@ class TestRun:
         assert main(run_args(configs, b)) == 0
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
+    def test_metrics_identical_across_hash_seeds(self, tmp_path):
+        # Node ids hash strings, so set order differs between the two
+        # processes: no set iteration may reach an output.
+        env = write_json(tmp_path / "env.json",
+                         {**ENV_DOC, "fns": 12, "fcis": 5,
+                          "fci_link_probability": 0.6})
+        configs = (env, write_json(tmp_path / "wl.json", WL_DOC))
+        src = str(Path(fogsched.__file__).resolve().parents[1])
+
+        def metrics(hash_seed, out):
+            subprocess.run(
+                [sys.executable, "-m", "fogsched.cli",
+                 *run_args(configs, out, "--fluctuate-interval", "0.1",
+                           "--fluctuate-range", "0.3,0.9")],
+                check=True, capture_output=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": hash_seed})
+            return (out / "metrics.csv").read_bytes()
+
+        assert metrics("0", tmp_path / "a") == metrics("1", tmp_path / "b")
+
     def test_emit_objective(self, configs, tmp_path):
         out = tmp_path / "out"
         assert main(run_args(configs, out, "--emit-objective")) == 0
@@ -261,6 +282,17 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "internal error: hold would overdraw" in err
         assert "Traceback" not in err
+
+    def test_readme_example_app_loads_and_runs(self, tmp_path, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8").split("Application JSON:")[1]
+        doc = json.loads(text.split("```json")[1].split("```")[0])
+        app = load_application(doc)
+        assert [t.id for t in app.tasks] == ["a", "b"]
+        code = main(["oracle", "--app", write_json(tmp_path / "app.json", doc),
+                     "--env", self.env_file(tmp_path), "--seed", "1"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["feasible"] is True
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "oracle.json"

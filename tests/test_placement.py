@@ -352,10 +352,11 @@ def level_amounts(got, app, level):
     """Per-node demands of one level's located tasks, summed from 0.0 in
     placement order."""
     cpu, mem = {}, {}
+    task_by_id = app.task_by_id()
     for tid in level:
         node = got.task_locations.get(tid)
         if node is not None:
-            task = app.task_by_id[tid]
+            task = task_by_id[tid]
             cpu[node] = cpu.get(node, 0.0) + task.cpu_demand
             mem[node] = mem.get(node, 0.0) + task.mem_demand
     return cpu, mem

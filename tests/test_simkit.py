@@ -1,5 +1,6 @@
 """Experiment runner: admission/release accounting, baselines, fluctuation."""
 
+import gc
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from fogsched.simkit import (ALGORITHMS, ExperimentConfig, FluctuationConfig,
                              baseline_order, run_experiment, run_replication,
                              time_algorithms)
 from fogsched.topology import EnvConfig, build_graph
-from fogsched.workload import WorkloadConfig, generate_workload
+from fogsched.workload import Application, WorkloadConfig, generate_workload
 
 from conftest import CLOUD_ID, fn, make_app, make_edge, make_graph, make_task
 
@@ -96,6 +97,57 @@ class TestRunExperiment:
                                             envelope.parts())
                    for key in amounts)
 
+    def test_conservation_audit_catches_a_skipped_hold(self, monkeypatch):
+        hold, skipped = ResourceMatrix.hold, []
+
+        def skip_one(rm, envelope):
+            if skipped or not any(envelope.parts()):
+                hold(rm, envelope)
+            else:
+                skipped.append(envelope)
+
+        monkeypatch.setattr(ResourceMatrix, "hold", skip_one)
+        with pytest.raises(SimError, match="conservation violated") as info:
+            run_replication(small_cfg(), seed=7, conservation_check_every=1)
+        (envelope,) = skipped
+        assert any(f" on {key} {kind}: " in str(info.value)
+                   for kind, amounts in zip(("cpu", "mem", "bw"),
+                                            envelope.parts())
+                   for key in amounts)
+
+    def test_each_app_is_freed_once_decided(self, monkeypatch):
+        # At the k-th decision (from 0) only the app being decided and the
+        # N - k - 1 still pending are alive: nothing keeps a decided app.
+        place, alive = simkit.herafc_place, []
+
+        def applications():
+            return sum(isinstance(o, Application) for o in gc.get_objects())
+
+        def counting(*args):
+            alive.append(applications() - before)
+            return place(*args)
+
+        monkeypatch.setattr(simkit, "herafc_place", counting)
+        cfg = small_cfg(workload=WorkloadConfig(**{**SMALL_WL,
+                                                   "app_count": 30}))
+        gc.collect()
+        before = applications()
+        run_replication(cfg, seed=7)
+        assert alive == [30 - k for k in range(30)]
+
+    def test_run_builds_no_fci_distance_maps(self, monkeypatch):
+        graphs = []
+
+        def capture(env, seed):
+            graphs.append(build_graph(env, seed))
+            return graphs[-1]
+
+        monkeypatch.setattr(simkit, "build_graph", capture)
+        run_replication(small_cfg(), seed=7)
+        (graph,) = graphs
+        assert graph._stages_cache
+        assert graph._fci_dist_cache == {}
+
     def test_per_tier_utilization_is_exact(self, monkeypatch):
         # app-0 holds 4 cpu on fog-0 and 100 on the cloud for 0-400 ms, and
         # 50 Mbps on fog-0's FCI link (fog) and that FCI's cloud link
@@ -148,7 +200,8 @@ class TestBaselineOrder:
         q = baseline_order(app, "priority", seed=1)
         assert q.levels[0] == ["root"]
         # stored in placing order: highest priority first
-        assert [app.task_by_id[t].priority for t in q.levels[1]] == [5, 3, 1]
+        task_by_id = app.task_by_id()
+        assert [task_by_id[t].priority for t in q.levels[1]] == [5, 3, 1]
 
     def test_level_structure_matches_precedence(self):
         app = self.leveled_app()
