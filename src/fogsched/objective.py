@@ -247,17 +247,18 @@ def check_constraints(placement: Placement, app: Application,
                                    f"level mem demand {used} exceeds capacity "
                                    f"{graph.capacity_mem[node]}"))
     for edge in app.edges:
-        path = placement.edge_paths.get(edge.key)
+        src, dst = edge.src, edge.dst
+        path = placement.edge_paths.get((src, dst))
         if path is None:
             continue
         if path.min_bandwidth < edge.bandwidth_demand - 1e-9:
             violations.append(
-                ("bandwidth", f"{edge.src}->{edge.dst}",
+                ("bandwidth", f"{src}->{dst}",
                  f"path min bandwidth {path.min_bandwidth:.3f} below demand "
                  f"{edge.bandwidth_demand:.3f}"))
         if path.total_latency > edge.max_latency:
             violations.append(
-                ("edge-latency", f"{edge.src}->{edge.dst}",
+                ("edge-latency", f"{src}->{dst}",
                  f"path latency {path.total_latency:.3f} ms exceeds demand "
                  f"{edge.max_latency:.3f} ms"))
     located = {n for n in placement.task_locations.values()

@@ -104,13 +104,9 @@ def exhaustive_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
     if contention_free and app.edges:
         for a in locations:
             for b in locations:
-                if a == b:
-                    path_table[(a, b)] = PhysicalPath(
-                        nodes=(a,), total_latency=0.0,
-                        min_bandwidth=math.inf, hop_count=0)
-                else:
-                    path_table[(a, b)] = shortest_path(
-                        graph, a, b, max_demand, residual_bw=rm.bw_view())
+                path_table[(a, b)] = (
+                    graph.colocated_path(a) if a == b
+                    else shortest_path(graph, a, b, max_demand, rm))
 
     # Score tables: task term per (task, node) and edge term per node pair.
     task_term: list[dict[NodeId, float]] = []
@@ -205,9 +201,11 @@ def exhaustive_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
         return OracleResult(feasible=False, best_placement=None,
                             best_score=None, enumerated_count=total)
     if best_paths is None:
-        best_paths = {e.key: path_table[(best_assignment[e.src],
-                                         best_assignment[e.dst])]
-                      for e in app.edges}
+        best_paths = {}
+        for edge in app.edges:
+            src, dst = edge.src, edge.dst
+            best_paths[src, dst] = path_table[(best_assignment[src],
+                                               best_assignment[dst])]
     placement = Placement(
         app_id=app.id, home_fn=home,
         task_locations=dict(best_assignment),

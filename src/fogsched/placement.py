@@ -17,7 +17,6 @@ the app holds until it completes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .ordering import ProcessQueue
@@ -28,22 +27,6 @@ from .workload import Application, Task, TaskEdge
 
 class PlacementError(ValueError):
     pass
-
-
-class _BwView:
-    """Residual-bandwidth lookup for shortest_path over a ResourceMatrix."""
-
-    __slots__ = ("_effective", "_held")
-
-    def __init__(self, rm: "ResourceMatrix"):
-        self._effective = rm.effective.bw
-        self._held = rm.held.bw
-
-    def get(self, key, default=None):
-        eff = self._effective.get(key)
-        if eff is None:
-            return default
-        return eff - self._held[key]
 
 
 @dataclass(slots=True)
@@ -99,7 +82,8 @@ class ResourceMatrix:
     def from_graph(cls, graph: ResourceGraph) -> "ResourceMatrix":
         cpu = {n: float(c) for n, c in graph.capacity_cpu.items()}
         mem = {n: float(c) for n, c in graph.capacity_mem.items()}
-        bw = {link.key: float(link.bandwidth_capacity) for link in graph.links}
+        bw = {key: float(link.bandwidth_capacity)
+              for key, link in graph.link_by_key.items()}
         capacity = Envelope(cpu, mem, bw)
         held = Envelope(dict.fromkeys(cpu, 0.0), dict.fromkeys(mem, 0.0),
                         dict.fromkeys(bw, 0.0))
@@ -113,9 +97,6 @@ class ResourceMatrix:
 
     def residual_bw(self, key) -> float:
         return self.effective.bw[key] - self.held.bw[key]
-
-    def bw_view(self) -> _BwView:
-        return _BwView(self)
 
     def fits(self, task: Task, node: NodeId) -> bool:
         effective, held = self.effective, self.held
@@ -258,27 +239,25 @@ def map_level_edges(edges, placement: Placement, graph: ResourceGraph,
     unmapped. Bandwidth is debited from `rm` into `log`.
     """
     locations = placement.task_locations
-    residual_bw = rm.bw_view()
+    edge_paths = placement.edge_paths
     for edge in edges:
-        src_loc = locations.get(edge.src)
-        dst_loc = locations.get(edge.dst)
+        src, dst = edge.src, edge.dst
+        src_loc = locations.get(src)
+        dst_loc = locations.get(dst)
         if src_loc is None or dst_loc is None:
-            placement.ignored.add(edge.key)
+            placement.ignored.add((src, dst))
             continue
         if src_loc == dst_loc:
-            placement.edge_paths[edge.key] = PhysicalPath(
-                nodes=(src_loc,), total_latency=0.0,
-                min_bandwidth=math.inf, hop_count=0)
+            edge_paths[src, dst] = graph.colocated_path(src_loc)
             continue
-        path = shortest_path(graph, src_loc, dst_loc, edge.bandwidth_demand,
-                             residual_bw=residual_bw)
+        path = shortest_path(graph, src_loc, dst_loc, edge.bandwidth_demand, rm)
         if isinstance(path, NoPath):
-            placement.unmapped[edge.key] = (
+            placement.unmapped[src, dst] = (
                 f"no path with residual bandwidth >= {edge.bandwidth_demand:.3f}")
             continue
         for key in path.links:
             rm.debit_link(key, edge.bandwidth_demand, log)
-        placement.edge_paths[edge.key] = path
+        edge_paths[src, dst] = path
 
 
 def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,

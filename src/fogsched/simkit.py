@@ -12,6 +12,7 @@ is revoked; a hold still above its capacity afterwards counts as revoked.
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 import random
 import time
@@ -27,6 +28,8 @@ from .topology import CLOUD, FOG, FCI, EnvConfig, ResourceGraph, build_graph
 from .workload import Application, WorkloadConfig, generate_workload
 
 ALGORITHMS = ("herafc", "order-priority", "order-random", "cloud-first")
+
+log = logging.getLogger(__name__)
 
 
 class SimError(ValueError):
@@ -270,6 +273,8 @@ def _overdrawn(rm: ResourceMatrix) -> int:
 
 def run_replication(cfg: ExperimentConfig, seed: int,
                     conservation_check_every: int = 200) -> ReplicationReport:
+    started = time.perf_counter()
+    log.info("replication seed %s: %s starts", seed, cfg.algorithm)
     graph = build_graph(cfg.env, seed)
     # Each app is popped when admitted and nothing keeps it once decided.
     pending = deque(generate_workload(cfg.workload, graph, f"{seed}:workload"))
@@ -359,9 +364,10 @@ def run_replication(cfg: ExperimentConfig, seed: int,
         # A located task's latency sample: its mapped outgoing edges' sum.
         outgoing: dict[str, float] = {}
         for edge in app.edges:
-            path = placement.edge_paths.get(edge.key)
+            src = edge.src
+            path = placement.edge_paths.get((src, edge.dst))
             if path is not None:
-                outgoing[edge.src] = outgoing.get(edge.src, 0) + path.total_latency
+                outgoing[src] = outgoing.get(src, 0) + path.total_latency
         for task in app.tasks:
             node = placement.task_locations.get(task.id)
             if node is None:
@@ -394,6 +400,8 @@ def run_replication(cfg: ExperimentConfig, seed: int,
     timings = {"order_total_s": order_seconds, "place_total_s": place_seconds,
                "per_app_avg_ms": (1000.0 * (order_seconds + place_seconds)
                                   / app_count if app_count else 0.0)}
+    log.info("replication seed %s: %d apps, %d tasks in %.3f s", seed,
+             app_count, task_count, time.perf_counter() - started)
     return ReplicationReport(
         seed=seed, app_count=app_count, task_count=task_count,
         fog_util=usage.util(FOG), cloud_util=usage.util(CLOUD),

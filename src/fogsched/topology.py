@@ -177,7 +177,7 @@ class EnvConfig:
         return cls(**doc)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhysicalPath:
     nodes: tuple[NodeId, ...]
     total_latency: float
@@ -216,7 +216,8 @@ class ResourceGraph:
         # The largest FN capacities (0 without FNs): ordering's normalizers.
         self.max_fn_cpu: int = max((fn.cpu_capacity for fn in self.fns), default=0)
         self.max_fn_mem: int = max((fn.mem_capacity for fn in self.fns), default=0)
-        self.adjacency: dict[NodeId, list[tuple[NodeId, Link]]] = {}
+        # Each node's (neighbor, link, link key), sorted by neighbor.
+        self.adjacency: dict[NodeId, list[tuple[NodeId, Link, tuple]]] = {}
         self.link_by_key: dict[tuple[NodeId, NodeId], Link] = {}
         for link in self.links:
             a, b = link.endpoints
@@ -224,10 +225,10 @@ class ResourceGraph:
             if key in self.link_by_key:
                 raise GraphConfigError(f"duplicate link between {a} and {b}")
             self.link_by_key[key] = link
-            self.adjacency.setdefault(a, []).append((b, link))
-            self.adjacency.setdefault(b, []).append((a, link))
+            self.adjacency.setdefault(a, []).append((b, link, key))
+            self.adjacency.setdefault(b, []).append((a, link, key))
         for neighbors in self.adjacency.values():
-            neighbors.sort(key=lambda pair: pair[0])
+            neighbors.sort(key=lambda entry: entry[0])
         self.fci_of: dict[NodeId, NodeId] = {fn.id: fn.attached_fci for fn in self.fns}
         self.fns_by_fci: dict[NodeId, list[NodeId]] = {f: [] for f in self.fcis}
         for fn in self.fns:
@@ -249,6 +250,17 @@ class ResourceGraph:
         self._fci_dist_cache: dict[NodeId, dict[NodeId, int]] = {}
         self._cloud_fci_dist: dict[NodeId, int] | None = None
         self._stages_cache: dict[NodeId, tuple] = {}
+        self._colocated_cache: dict[NodeId, PhysicalPath] = {}
+
+    def colocated_path(self, node: NodeId) -> PhysicalPath:
+        """The path of an edge whose two tasks sit on `node`: one shared,
+        frozen path per node."""
+        path = self._colocated_cache.get(node)
+        if path is None:
+            path = self._colocated_cache[node] = PhysicalPath(
+                nodes=(node,), total_latency=0.0, min_bandwidth=math.inf,
+                hop_count=0)
+        return path
 
     def locations(self) -> list[NodeId]:
         """Hosting locations: all FNs plus the cloud, in id order."""
@@ -399,22 +411,29 @@ def nodes_within_hops(g: ResourceGraph, origins, h: int) -> set[NodeId]:
 
 
 def shortest_path(g: ResourceGraph, a: NodeId, b: NodeId,
-                  required_bandwidth: float, residual_bw=None):
+                  required_bandwidth: float, rm=None):
     """Latency-minimal path whose every link has residual bandwidth >= demand.
 
-    `residual_bw` maps link keys to residual Mbps (defaults to capacities).
-    Ties break on fewer links, then the lexicographically smallest node
-    sequence. Returns a NoPath result when no feasible route exists.
+    A link's residual is read from the ResourceMatrix `rm` (effective minus
+    held bandwidth), or is its capacity when `rm` is None. Ties break on
+    fewer links, then the lexicographically smallest node sequence. Returns
+    a NoPath result when no feasible route exists.
     """
     if a == b:
-        return PhysicalPath(nodes=(a,), total_latency=0.0,
-                            min_bandwidth=math.inf, hop_count=0)
-    lookup = residual_bw if residual_bw is not None else {}
+        return g.colocated_path(a)
+    if rm is not None:
+        effective, held = rm.effective.bw, rm.held.bw
+    else:
+        effective = {key: link.bandwidth_capacity
+                     for key, link in g.link_by_key.items()}
+        held = dict.fromkeys(effective, 0)
     # A route must leave a and enter b over a feasible link. Most failed
     # searches fail here, and this check costs a few links, not the search.
     for end in (a, b):
-        if not any(lookup.get(link.key, link.bandwidth_capacity) >= required_bandwidth
-                   for _, link in g.adjacency.get(end, ())):
+        for _, _, key in g.adjacency.get(end, ()):
+            if effective[key] - held[key] >= required_bandwidth:
+                break
+        else:
             return NoPath(src=a, dst=b, required_bandwidth=required_bandwidth)
     best_seen: dict[NodeId, tuple] = {}
     heap = [(0.0, 0, (a,))]
@@ -428,19 +447,17 @@ def shortest_path(g: ResourceGraph, a: NodeId, b: NodeId,
             min_bw = math.inf
             for u, v in zip(path, path[1:]):
                 key = _pair_key(u, v)
-                link = g.link_by_key[key]
-                min_bw = min(min_bw, lookup.get(key, link.bandwidth_capacity))
+                min_bw = min(min_bw, effective[key] - held[key])
             return PhysicalPath(
                 nodes=path,
                 total_latency=latency,
                 min_bandwidth=min_bw,
                 hop_count=sum(1 for n in path if n.tier == FCI),
             )
-        for neighbor, link in g.adjacency.get(node, ()):
+        for neighbor, link, key in g.adjacency.get(node, ()):
             if neighbor in path:
                 continue
-            avail = lookup.get(link.key, link.bandwidth_capacity)
-            if avail < required_bandwidth:
+            if effective[key] - held[key] < required_bandwidth:
                 continue
             cand = (latency + link.latency, nlinks + 1, path + (neighbor,))
             prev = best_seen.get(neighbor)

@@ -35,10 +35,6 @@ class TaskEdge:
     bandwidth_demand: float
     max_latency: float
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.src, self.dst)
-
 
 @dataclass(slots=True)
 class Application:

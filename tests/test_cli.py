@@ -1,13 +1,19 @@
 """Command-line interface: exit codes, output files, CSV reshaping."""
 
+import contextlib
 import csv
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fogsched
 from fogsched import cli
@@ -15,7 +21,8 @@ from fogsched.cli import (CSV_HEADER, config_hash, main, preset_config,
                           _parse_weights)
 from fogsched.placement import PlacementError, ResourceMatrix
 from fogsched.topology import EnvConfig, GraphConfigError
-from fogsched.workload import application_to_dict, load_application
+from fogsched.workload import (WorkloadConfig, application_to_dict,
+                               load_application)
 
 from conftest import fn, make_app, make_edge, make_task
 
@@ -166,6 +173,29 @@ class TestRun:
 
         assert metrics("0", tmp_path / "a") == metrics("1", tmp_path / "b")
 
+    def test_logs_each_replication_start_and_end(self, configs, tmp_path,
+                                                 caplog):
+        caplog.set_level(logging.INFO, logger="fogsched.simkit")
+        assert main(run_args(configs, tmp_path / "o",
+                             "--replications", "2")) == 0
+        records = [r.getMessage() for r in caplog.records
+                   if r.name == "fogsched.simkit"]
+        assert len(records) == 4
+        assert records[0] == "replication seed 42: herafc starts"
+        assert records[1].startswith("replication seed 42: 15 apps, ")
+        assert records[2] == "replication seed 43: herafc starts"
+        assert records[3].startswith("replication seed 43: 15 apps, ")
+
+    def test_info_logging_leaves_metrics_unchanged(self, configs, tmp_path,
+                                                   monkeypatch, caplog):
+        assert main(run_args(configs, tmp_path / "quiet")) == 0
+        monkeypatch.setenv("FOGSCHED_LOG", "INFO")
+        caplog.set_level(logging.INFO, logger="fogsched.simkit")
+        assert main(run_args(configs, tmp_path / "info")) == 0
+        assert any(r.name == "fogsched.simkit" for r in caplog.records)
+        assert ((tmp_path / "info" / "metrics.csv").read_bytes()
+                == (tmp_path / "quiet" / "metrics.csv").read_bytes())
+
     def test_emit_objective(self, configs, tmp_path):
         out = tmp_path / "out"
         assert main(run_args(configs, out, "--emit-objective")) == 0
@@ -206,6 +236,63 @@ class TestRun:
 
 RUN_FLOAT_FLAGS = ("--scale", "--delta", "--big-delta", "--fluctuate-interval",
                    "--admission-interval")
+
+
+# Values that do not belong in a config field: wrong types, negatives, and
+# ints beyond the float range. A count within the float range but huge
+# (fns = 2**40) is valid input that runs for as long as it asks to.
+_JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                  st.lists(st.integers(-3, 3), max_size=3),
+                  st.integers(-10**6, -1), st.just(10**400))
+_FLAG_VALUES = {
+    "--scale": ["0.5", "0", "-2", "1e308", "nan", "x"],
+    "--seed": ["-7", str(2**70), "1.5", "x"],
+    "--fluctuate-range": ["1,0.5", "0,1", "-1,2", "nan,1", "0.5", "a,b", ""],
+}
+_VALID_FLAGS = {"--scale": "1", "--seed": "0", "--fluctuate-range": "0.5,1"}
+
+
+@st.composite
+def _one_change(draw):
+    """The tiny valid run with one change: a config document field dropped
+    or given a junk value, or one flag given an odd value."""
+    env, wl, flags = dict(ENV_DOC), dict(WL_DOC), dict(_VALID_FLAGS)
+    target = draw(st.sampled_from(["env", "workload", *flags]))
+    if target in flags:
+        flags[target] = draw(st.sampled_from(_FLAG_VALUES[target]))
+        return env, wl, flags
+    doc, cls = (env, EnvConfig) if target == "env" else (wl, WorkloadConfig)
+    name = draw(st.sampled_from(sorted(set(doc) | set(cls.__dataclass_fields__))))
+    if draw(st.booleans()):
+        doc.pop(name, None)
+    else:
+        doc[name] = draw(_JUNK)
+    return env, wl, flags
+
+
+@given(case=_one_change())
+@example(case=(ENV_DOC, WL_DOC, _VALID_FLAGS))
+@settings(max_examples=50, deadline=None)
+def test_malformed_input_exits_with_a_documented_code(case):
+    """In-process runs of mutated config documents and flag values end in
+    a documented exit code, never in an exception."""
+    env, wl, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = ["run", "--env", write_json(tmp / "env.json", env),
+                "--workload", write_json(tmp / "wl.json", wl),
+                "--out", str(tmp / "out"), "--fluctuate-interval", "1"]
+        for flag, value in flags.items():
+            argv.append(f"{flag}={value}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestNonFiniteFloatFlags:

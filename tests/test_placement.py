@@ -1,5 +1,6 @@
 """Placement: multi-hop location search, edge mapping, level accounting."""
 
+import dataclasses
 import math
 import random
 
@@ -167,6 +168,22 @@ class TestMapLevelEdges:
                         rm.snapshot())
         assert ("a", "b") in placement.ignored
         assert ("a", "b") not in placement.unmapped
+
+    def test_colocated_edges_share_one_frozen_path(self, two_cluster_graph):
+        g = two_cluster_graph
+        rm = ResourceMatrix.from_graph(g)
+        first = place(make_app([make_task(t) for t in "abc"],
+                               [make_edge("a", "b"), make_edge("a", "c")],
+                               app_id="app-1"), g, rm)
+        second = place(make_app([make_task(t) for t in "xy"],
+                                [make_edge("x", "y")], app_id="app-2"), g, rm)
+        assert set(first.task_locations.values()) == {fn(0)}
+        assert set(second.task_locations.values()) == {fn(0)}
+        path = first.edge_paths[("a", "b")]
+        assert first.edge_paths[("a", "c")] is path
+        assert second.edge_paths[("x", "y")] is path
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path.total_latency = 1.0
 
 
 class TestResetRm:
@@ -410,31 +427,31 @@ def reference_map_level_edges(level_tasks, app, placement, graph, rm, log):
     rejected = {t for t, _ in placement.rejected}
     adjacent = [e for e in app.edges
                 if (e.src in level_set or e.dst in level_set)
-                and e.key not in placement.edge_paths
-                and e.key not in placement.unmapped
-                and e.key not in placement.ignored]
-    adjacent.sort(key=lambda e: (-e.bandwidth_demand, e.key))
+                and (e.src, e.dst) not in placement.edge_paths
+                and (e.src, e.dst) not in placement.unmapped
+                and (e.src, e.dst) not in placement.ignored]
+    adjacent.sort(key=lambda e: (-e.bandwidth_demand, (e.src, e.dst)))
     for edge in adjacent:
         src_loc = placement.task_locations.get(edge.src)
         dst_loc = placement.task_locations.get(edge.dst)
         if src_loc is None or dst_loc is None:
             if edge.src in rejected or edge.dst in rejected:
-                placement.ignored.add(edge.key)
+                placement.ignored.add((edge.src, edge.dst))
             continue
         if src_loc == dst_loc:
-            placement.edge_paths[edge.key] = PhysicalPath(
+            placement.edge_paths[edge.src, edge.dst] = PhysicalPath(
                 nodes=(src_loc,), total_latency=0.0,
                 min_bandwidth=math.inf, hop_count=0)
             continue
         path = shortest_path(graph, src_loc, dst_loc, edge.bandwidth_demand,
-                             residual_bw=rm.bw_view())
+                             rm)
         if isinstance(path, NoPath):
-            placement.unmapped[edge.key] = (
+            placement.unmapped[edge.src, edge.dst] = (
                 f"no path with residual bandwidth >= {edge.bandwidth_demand:.3f}")
             continue
         for key in path.links:
             rm.debit_link(key, edge.bandwidth_demand, log)
-        placement.edge_paths[edge.key] = path
+        placement.edge_paths[edge.src, edge.dst] = path
 
 
 def placement_record(got):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from fogsched.placement import ResourceMatrix
 from fogsched.topology import (CloudNode, EnvConfig, FogNode, GraphConfigError,
-                               Link, NoPath, NodeId, ResourceGraph, build_graph,
-                               hop_distance, nodes_within_hops, shortest_path)
+                               Link, NoPath, NodeId, ResourceGraph, _pair_key,
+                               build_graph, hop_distance, nodes_within_hops,
+                               shortest_path)
 
 from conftest import CLOUD_ID, fci, fn, make_graph
 
@@ -140,7 +141,7 @@ def _all_simple_paths(g, a, b, required_bw):
         if node == b:
             out.append((latency, len(path) - 1, tuple(path)))
             return
-        for neighbor, link in g.adjacency.get(node, ()):
+        for neighbor, link, _ in g.adjacency.get(node, ()):
             if neighbor in path or link.bandwidth_capacity < required_bw:
                 continue
             walk(path + [neighbor], latency + link.latency)
@@ -175,9 +176,12 @@ class TestShortestPath:
         g = build_graph(EnvConfig(fns=4, fcis=3, cpu=(4, 8),
                                   mem_mb=(500, 1000),
                                   fci_link_probability=0.7), seed=11)
+        rm = ResourceMatrix.from_graph(g)
         for a, b in itertools.permutations(g.locations(), 2):
             demand = 100.0
             got = shortest_path(g, a, b, demand)
+            # An untouched matrix reads every residual as its capacity.
+            assert shortest_path(g, a, b, demand, rm) == got
             want = _all_simple_paths(g, a, b, demand)
             if not want:
                 assert isinstance(got, NoPath)
@@ -190,8 +194,9 @@ class TestShortestPath:
         g = two_cluster_graph
         direct = shortest_path(g, fn(0), fn(1), 100.0)
         key = direct.links[0]
-        starved = {key: 50.0}
-        rerouted = shortest_path(g, fn(0), fn(1), 100.0, residual_bw=starved)
+        starved = ResourceMatrix.from_graph(g)
+        starved.held.bw[key] = starved.effective.bw[key] - 50.0
+        rerouted = shortest_path(g, fn(0), fn(1), 100.0, starved)
         assert isinstance(rerouted, NoPath) or key not in rerouted.links
 
 
@@ -201,7 +206,7 @@ def _reachable(g, rm, a, b, demand):
     queue = deque([a])
     while queue:
         node = queue.popleft()
-        for neighbor, link in g.adjacency.get(node, ()):
+        for neighbor, link, _ in g.adjacency.get(node, ()):
             if neighbor not in seen and rm.residual_bw(link.key) >= demand:
                 seen.add(neighbor)
                 queue.append(neighbor)
@@ -224,13 +229,13 @@ def test_nopath_iff_no_feasible_route(seed, data):
     nodes = sorted(g.adjacency)
     drained = data.draw(st.sampled_from([None] + nodes))
     if drained is not None:
-        for _, link in g.adjacency[drained]:
+        for _, link, _ in g.adjacency[drained]:
             rm.held.bw[link.key] = rm.effective.bw[link.key]
     residuals = sorted({rm.residual_bw(k) for k in rm.capacity.bw} - {0.0})
     # An exact residual as the demand puts some links right at the boundary.
     demand = data.draw(st.floats(1.0, 1200.0) | st.sampled_from(residuals or [1.0]))
     for a, b in itertools.permutations(nodes, 2):
-        got = shortest_path(g, a, b, demand, residual_bw=rm.bw_view())
+        got = shortest_path(g, a, b, demand, rm)
         if isinstance(got, NoPath):
             assert not _reachable(g, rm, a, b, demand), (a, b)
         else:
@@ -244,11 +249,11 @@ class TestEndpointPrecheck:
     def test_endpoint_without_feasible_link(self, two_cluster_graph):
         g = two_cluster_graph
         rm = ResourceMatrix.from_graph(g)
-        (_, link), = g.adjacency[fn(3)]
+        (_, link, _), = g.adjacency[fn(3)]
         rm.held.bw[link.key] = rm.effective.bw[link.key] - 99.0
         for a, b in ((fn(0), fn(3)), (fn(3), fn(0))):
-            assert isinstance(shortest_path(g, a, b, 100.0, rm.bw_view()), NoPath)
-            assert not isinstance(shortest_path(g, a, b, 99.0, rm.bw_view()), NoPath)
+            assert isinstance(shortest_path(g, a, b, 100.0, rm), NoPath)
+            assert not isinstance(shortest_path(g, a, b, 99.0, rm), NoPath)
 
     def test_endpoint_without_links(self):
         # fci-1 has no fog node, no backbone link and no cloud link.
@@ -289,6 +294,16 @@ class TestBuildGraph:
         backbone = [l.latency for l in g.links
                     if l.endpoints[0].tier != "fog" and l.endpoints[1].tier != "fog"]
         assert max(access) < min(backbone)
+
+    def test_adjacency_carries_each_link_key(self):
+        g = build_graph(EnvConfig(**SMALL_ENV, fn_cloud_link_probability=0.5),
+                        seed=3)
+        entries = [(node, *entry) for node, neighbors in g.adjacency.items()
+                   for entry in neighbors]
+        assert len(entries) == 2 * len(g.links)
+        for node, neighbor, link, key in entries:
+            assert key == link.key == _pair_key(node, neighbor)
+            assert g.link_by_key[key] is link
 
     def test_every_fci_reaches_cloud(self):
         g = build_graph(EnvConfig(**SMALL_ENV), seed=2)
