@@ -78,18 +78,24 @@ def normalize_resource(app: Application, graph: ResourceGraph,
     """
     if not app.tasks:
         raise OrderingError("application has no tasks")
-    max_cpu, max_mem = graph.max_fn_cpu, graph.max_fn_mem
-    if not graph.fns:
-        max_cpu = max(max_cpu, graph.cloud.cpu_capacity)
-        max_mem = max(max_mem, graph.cloud.mem_capacity)
-    if max_cpu <= 0 or max_mem <= 0:
-        raise OrderingError("graph has no positive capacity to normalize against")
+    max_cpu, max_mem = _resource_peaks(graph)
     out = {}
     for t in app.tasks:
         r_cpu = t.cpu_demand / max_cpu
         r_mem = t.mem_demand / max_mem
         out[t.id] = (weights.omega_c * r_cpu + weights.omega_m * r_mem) / 2.0
     return out
+
+
+def _resource_peaks(graph: ResourceGraph) -> tuple[float, float]:
+    """The (cpu, mem) normalizers of normalize_resource."""
+    max_cpu, max_mem = graph.max_fn_cpu, graph.max_fn_mem
+    if not graph.fns:
+        max_cpu = max(max_cpu, graph.cloud.cpu_capacity)
+        max_mem = max(max_mem, graph.cloud.mem_capacity)
+    if max_cpu <= 0 or max_mem <= 0:
+        raise OrderingError("graph has no positive capacity to normalize against")
+    return max_cpu, max_mem
 
 
 def critical_value(m_hat: float, p_hat: float, r_hat: float,
@@ -114,26 +120,37 @@ def task_levels(app: Application) -> list[list[str]]:
 
 
 def _levels(app: Application, children: dict[str, list[str]]) -> list[list[str]]:
-    """task_levels over child lists built by the caller."""
+    """task_levels over child lists built by the caller.
+
+    One iterative depth-first pass from the last task back. A generated app
+    lists its tasks parents first, so each task's children are levelled when
+    the pass reaches it; a task met out of that order is walked down first.
+    """
     level: dict[str, int] = {}
-    remaining = {t.id: len(children[t.id]) for t in app.tasks}
-    parents: dict[str, list[str]] = {t: [] for t in remaining}
-    for t in remaining:
-        for child in children[t]:
-            parents.setdefault(child, []).append(t)
-    frontier = sorted(t for t, d in remaining.items() if d == 0)
-    for t in frontier:
-        level[t] = 0
-    pending = list(frontier)
-    while pending:
-        cur = pending.pop()
-        for parent in parents[cur]:
-            remaining[parent] -= 1
-            if remaining[parent] == 0:
-                level[parent] = 1 + max(level[c] for c in children[parent])
-                pending.append(parent)
+    get = level.get
+    ids = None
+    for task in reversed(app.tasks):
+        tid = task.id
+        if tid in level:
+            continue
+        high = -1
+        for child in children[tid]:
+            lc = get(child)
+            if lc is None:
+                if ids is None:
+                    ids = {t.id for t in app.tasks}
+                _walk(tid, children, ids, level)
+                break
+            if lc > high:
+                high = lc
+        else:
+            level[tid] = high + 1
+    if len(level) != len(children):
+        edge = next(e for e in app.edges if e.src not in level)
+        raise OrderingError(f"task edge {edge.src} -> {edge.dst} names a "
+                            f"task outside the application")
     if len(level) != len(app.tasks):
-        raise OrderingError("application DAG contains a cycle")
+        raise OrderingError("application lists a task id twice")
     depth = max(level.values(), default=-1) + 1
     levels: list[list[str]] = [[] for _ in range(depth)]
     for t in app.tasks:
@@ -141,17 +158,55 @@ def _levels(app: Application, children: dict[str, list[str]]) -> list[list[str]]
     return levels
 
 
+def _walk(root: str, children: dict[str, list[str]], ids: set[str],
+          level: dict[str, int]) -> None:
+    """Level `root` and every unlevelled task below it, children first
+    (depth-first post-order on an explicit stack). A task on the stack is
+    marked -1 until its children are levelled; meeting it again is a cycle.
+    `ids` holds the app's task ids."""
+    level[root] = -1
+    stack = [(root, iter(children[root]))]
+    while stack:
+        tid, pending = stack[-1]
+        for child in pending:
+            lc = level.get(child)
+            if lc is None:
+                if child not in ids:
+                    raise OrderingError(f"task edge {tid} -> {child} names a "
+                                        f"task outside the application")
+                level[child] = -1
+                stack.append((child, iter(children[child])))
+                break
+            if lc < 0:
+                raise OrderingError("application DAG contains a cycle")
+        else:
+            stack.pop()
+            level[tid] = 1 + max((level[c] for c in children[tid]), default=-1)
+
+
 def order_tasks(app: Application, graph: ResourceGraph,
                 weights: Weights | None = None,
                 delta: float = DEFAULT_DELTA) -> ProcessQueue:
-    """HeRAFC's placing order: levels root first, each by descending MCV."""
+    """HeRAFC's placing order: levels root first, each by descending MCV.
+
+    One loop scores every task with the float expressions, in the operand
+    order, of normalize_*, critical_value and mean_critical_value.
+    """
     weights = weights or Weights()
-    m_hat = normalize_makespan(app)
-    p_hat = normalize_priority(app)
-    r_hat = normalize_resource(app, graph, weights)
-    wv = {t.id: critical_value(m_hat[t.id], p_hat[t.id], r_hat[t.id], weights)
-          for t in app.tasks}
+    tasks = app.tasks
+    if not tasks:
+        raise OrderingError("application has no tasks")
+    max_cpu, max_mem = _resource_peaks(graph)
+    if delta <= 0:
+        raise OrderingError("delta must be strictly positive")
+    peak_m = max(t.makespan for t in tasks)
+    peak_p = max(t.priority for t in tasks)
+    w1, w2, w3 = weights.w1, weights.w2, weights.w3
+    oc, om = weights.omega_c, weights.omega_m
     children = app.children()
-    mcv = {t: mean_critical_value(wv[t], len(children[t]), delta)
-           for t in wv}
+    mcv = {}
+    for t in tasks:
+        r = (oc * (t.cpu_demand / max_cpu) + om * (t.mem_demand / max_mem)) / 2.0
+        wv = (w1 * (t.makespan / peak_m)) * (w2 * (t.priority / peak_p)) * (w3 * r)
+        mcv[t.id] = wv / (len(children[t.id]) + delta)
     return placing_queue(_levels(app, children), mcv)

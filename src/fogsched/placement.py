@@ -49,7 +49,9 @@ class Envelope:
         for mine, theirs in ((self.cpu, level.cpu), (self.mem, level.mem),
                              (self.bw, level.bw)):
             for key, amt in theirs.items():
-                mine[key] = max(mine.get(key, 0.0), amt)
+                old = mine.get(key)
+                if old is None or amt > old:
+                    mine[key] = amt
 
 
 @dataclass(slots=True)
@@ -219,13 +221,15 @@ def edges_by_level(app: Application, levels) -> list[list[TaskEdge]]:
 
     `levels` holds every task of the app once. Each level's edges are sorted
     by descending bandwidth demand, then (src, dst): the order of mapping.
+    The app's edges are sorted once by that key, which orders any two edges
+    but duplicates, and then dealt out to their levels.
     """
     level_of = {t: k for k, level in enumerate(levels) for t in level}
     by_level: list[list[TaskEdge]] = [[] for _ in levels]
-    for edge in app.edges:
-        by_level[max(level_of[edge.src], level_of[edge.dst])].append(edge)
-    for edges in by_level:
-        edges.sort(key=lambda e: (-e.bandwidth_demand, e.src, e.dst))
+    for edge in sorted(app.edges,
+                       key=lambda e: (-e.bandwidth_demand, e.src, e.dst)):
+        src, dst = level_of[edge.src], level_of[edge.dst]
+        by_level[src if src > dst else dst].append(edge)
     return by_level
 
 
@@ -274,10 +278,16 @@ def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
     placement = Placement(app_id=app.id, home_fn=app.home_fn)
     stages = ((app.home_fn,), *stages)
     task_by_id = app.task_by_id()
+    locations = placement.task_locations
     for level, edges in zip(levels, edges_by_level(app, levels)):
         log = rm.snapshot()
+        # A level lasts as long as its longest task, placed or rejected
+        # (makespans are positive, see workload.validate_dag).
+        duration = 0.0
         for tid in level:
             task = task_by_id[tid]
+            if task.makespan > duration:
+                duration = task.makespan
             for stage in stages:
                 node = try_deploy(task, stage, rm)
                 if node is not None:
@@ -287,17 +297,17 @@ def place_levels(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
                     (tid, "no candidate location has capacity"))
                 continue
             rm.debit_task(task, node, log)
-            placement.task_locations[tid] = node
-        map_level_edges(edges, placement, graph, rm, log)
+            locations[tid] = node
+        if edges:
+            map_level_edges(edges, placement, graph, rm, log)
         reset_rm(rm, log)
         placement.envelope.raise_to(log)
         placement.level_order.append(list(level))
-        placement.level_durations.append(
-            max((task_by_id[t].makespan for t in level), default=0.0))
+        placement.level_durations.append(duration)
     # Every level starts from the admission state and tries the home FN
     # first, so an unused home FN means no task of the app fits there.
     placement.home_pin_infeasible = (
-        app.home_fn not in placement.task_locations.values())
+        app.home_fn not in locations.values())
     return placement
 
 

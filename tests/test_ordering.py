@@ -163,6 +163,26 @@ class TestTaskLevels:
                         make_edge("b", "c")])
         assert task_levels(app) == [["a"], ["b"], ["c", "d"]]
 
+    def test_edge_from_unknown_task_rejected(self):
+        app = make_app([make_task("a"), make_task("b")],
+                       [make_edge("ghost", "a"), make_edge("a", "b")])
+        with pytest.raises(OrderingError, match="ghost -> a"):
+            task_levels(app)
+
+    @pytest.mark.parametrize("edges", [[("a", "b"), ("a", "ghost")],
+                                       [("a", "ghost"), ("ghost", "b")]])
+    def test_edge_to_unknown_task_rejected(self, edges):
+        app = make_app([make_task("a"), make_task("b")],
+                       [make_edge(s, d) for s, d in edges])
+        with pytest.raises(OrderingError, match="a -> ghost"):
+            task_levels(app)
+
+    def test_task_listed_twice_rejected(self):
+        app = make_app([make_task("a"), make_task("b"), make_task("a")],
+                       [make_edge("a", "b")])
+        with pytest.raises(OrderingError):
+            task_levels(app)
+
 
 class TestOrderTasks:
     def test_chain_levels_and_queue_shape(self, two_cluster_graph):
@@ -289,3 +309,99 @@ def test_tied_scores_refuse_reversing_an_ascending_level(two_cluster_graph):
     reversed_ascending = [sorted(lv, key=lambda t: (q.mcv[t], t))[::-1]
                           for lv in q.levels]
     assert reversed_ascending != two_step_placing_order(app, q.mcv)
+
+
+def kahn_levels(app):
+    """Test-only copy of the Kahn levelling task_levels used to run: parent
+    lists, remaining child counts and a sorted frontier of leaves."""
+    children = app.children()
+    level = {}
+    remaining = {t.id: len(children[t.id]) for t in app.tasks}
+    parents = {t: [] for t in remaining}
+    for t in remaining:
+        for child in children[t]:
+            parents.setdefault(child, []).append(t)
+    frontier = sorted(t for t, d in remaining.items() if d == 0)
+    for t in frontier:
+        level[t] = 0
+    pending = list(frontier)
+    while pending:
+        cur = pending.pop()
+        for parent in parents[cur]:
+            remaining[parent] -= 1
+            if remaining[parent] == 0:
+                level[parent] = 1 + max(level[c] for c in children[parent])
+                pending.append(parent)
+    if len(level) != len(app.tasks):
+        raise OrderingError("application DAG contains a cycle")
+    depth = max(level.values(), default=-1) + 1
+    levels = [[] for _ in range(depth)]
+    for t in app.tasks:
+        levels[depth - 1 - level[t.id]].append(t.id)
+    return levels
+
+
+@st.composite
+def shuffled_dags(draw):
+    """A DAG on tasks t0..t{n-1}, edges only from lower to higher index,
+    with its task and edge lists shuffled."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [pair for pair in pairs if draw(st.booleans())]
+    order = draw(st.permutations(range(n)))
+    edges = draw(st.permutations(edges))
+    return (make_app([make_task(f"t{i}") for i in order],
+                     [make_edge(f"t{i}", f"t{j}") for i, j in edges]), edges)
+
+
+@given(dag=shuffled_dags(), back=st.integers(0, 1_000))
+@settings(max_examples=200, deadline=None)
+def test_levels_match_kahn_in_any_task_order(dag, back):
+    app, edges = dag
+    assert task_levels(app) == kahn_levels(app)
+    if edges:
+        # reverse a path i -> ... -> j by adding j -> i: a cycle
+        i, j = edges[back % len(edges)]
+        app.edges.append(make_edge(f"t{j}", f"t{i}"))
+        with pytest.raises(OrderingError, match="cycle"):
+            task_levels(app)
+
+
+@pytest.mark.parametrize("listed", ["parents first", "children first"])
+def test_long_chain_needs_no_recursion(listed):
+    ids = [f"t{i}" for i in range(5_000)]
+    tasks = [make_task(t) for t in ids]
+    if listed == "children first":
+        tasks.reverse()
+    app = make_app(tasks, [make_edge(a, b) for a, b in zip(ids, ids[1:])])
+    assert task_levels(app) == [[t] for t in ids]
+
+
+@pytest.mark.parametrize("weights,delta", [
+    (THIRDS, 0.001),
+    (Weights(w1=0.2, w2=0.3, w3=0.5, omega_c=0.3, omega_m=0.7), 0.01)])
+def test_scoring_loop_matches_the_helpers(weights, delta):
+    """order_tasks scores each task bit for bit as the exported helpers do,
+    and levels it as placing_queue over task_levels does."""
+    import dataclasses
+    from fogsched.cli import preset_config
+    from fogsched.ordering import placing_queue
+    from fogsched.topology import build_graph
+    from fogsched.workload import generate_workload
+    env, wl = preset_config("large-default")
+    graph = build_graph(env, 42)
+    apps = generate_workload(dataclasses.replace(wl, app_count=300), graph, 42)
+    assert len(apps) == 300
+    for app in apps:
+        q = order_tasks(app, graph, weights, delta)
+        m_hat = normalize_makespan(app)
+        p_hat = normalize_priority(app)
+        r_hat = normalize_resource(app, graph, weights)
+        children = app.children()
+        want = {t.id: mean_critical_value(
+                    critical_value(m_hat[t.id], p_hat[t.id], r_hat[t.id],
+                                   weights),
+                    len(children[t.id]), delta)
+                for t in app.tasks}
+        assert list(q.mcv.items()) == list(want.items())
+        assert q.levels == placing_queue(task_levels(app), want).levels

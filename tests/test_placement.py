@@ -12,9 +12,9 @@ from fogsched.objective import check_constraints
 from fogsched.ordering import order_tasks
 from fogsched import placement as placement_module
 from fogsched.placement import (Envelope, Placement, ResourceMatrix,
-                                _candidate_stages, herafc_place,
-                                map_level_edges, place_levels, reset_rm,
-                                try_deploy)
+                                _candidate_stages, edges_by_level,
+                                herafc_place, map_level_edges, place_levels,
+                                reset_rm, try_deploy)
 from fogsched.simkit import (FluctuationConfig, apply_fluctuation,
                              baseline_cloud_first)
 from fogsched.topology import (CLOUD, EnvConfig, NoPath, PhysicalPath,
@@ -302,6 +302,15 @@ class TestHerafcPlace:
         # root level first (a), then the leaf level (b, c)
         assert got.level_durations == [900.0, 400.0]
 
+    def test_level_duration_counts_rejected_tasks(self):
+        g = make_graph(fn_caps=[(2, 200)], clusters=[0], cloud_cpu=1,
+                       cloud_mem=100)
+        app = make_app([make_task("big", cpu=4, mem=400, makespan=900.0),
+                        make_task("small", makespan=100.0)], home=fn(0))
+        got = place(app, g)
+        assert [t for t, _ in got.rejected] == ["big"]
+        assert got.level_durations == [900.0]
+
     def test_rejection_only_when_even_cloud_is_full(self):
         g = make_graph(fn_caps=[(2, 200)], clusters=[0], cloud_cpu=1,
                        cloud_mem=100)
@@ -517,3 +526,38 @@ def test_level_edge_lists_match_the_per_level_scan(monkeypatch):
                 rm_ref.release(old_ref)
             assert matrix_state(rm_new) == matrix_state(rm_ref)
     assert all(seen.values()), seen
+
+
+def per_level_sorted_edges(app, levels):
+    """Test-only copy of edges_by_level as it was: deal the edges out in app
+    order, then sort each level's list by (-bandwidth, src, dst)."""
+    level_of = {t: k for k, level in enumerate(levels) for t in level}
+    by_level = [[] for _ in levels]
+    for edge in app.edges:
+        by_level[max(level_of[edge.src], level_of[edge.dst])].append(edge)
+    for edges in by_level:
+        edges.sort(key=lambda e: (-e.bandwidth_demand, e.src, e.dst))
+    return by_level
+
+
+def test_one_edge_sort_matches_the_per_level_sorts():
+    graph = build_graph(EnvConfig(fns=6, fcis=2, fci_link_probability=0.5),
+                        seed=1)
+    cfg = WorkloadConfig(app_count=40, tasks_per_app=(2, 12),
+                         link_probability=0.5, max_total_tasks=1000)
+    tied = make_app(
+        [make_task(t) for t in "abcde"],
+        [make_edge(s, d, bw=80.0) for s, d in
+         [("c", "e"), ("a", "d"), ("b", "e"), ("a", "c"), ("b", "d"),
+          ("a", "b")]] + [make_edge("c", "d", bw=90.0)])
+    for app in [tied, *generate_workload(cfg, graph, 7)]:
+        levels = order_tasks(app, graph).levels
+        got = edges_by_level(app, levels)
+        assert got == per_level_sorted_edges(app, levels)
+    # ties on bandwidth are broken by (src, dst)
+    levels = order_tasks(tied, graph).levels
+    assert levels == [["a"], ["b", "c"], ["d", "e"]]
+    assert [[(e.src, e.dst) for e in edges]
+            for edges in edges_by_level(tied, levels)] == [
+        [], [("a", "b"), ("a", "c")],
+        [("c", "d"), ("a", "d"), ("b", "d"), ("b", "e"), ("c", "e")]]
