@@ -11,6 +11,7 @@ import argparse
 import csv
 import datetime
 import hashlib
+import io
 import json
 import logging
 import math
@@ -311,22 +312,48 @@ def cmd_oracle(args) -> int:
 
 
 def _read_metric_rows(paths) -> list[dict]:
+    """Every row of the CSVs, each with all six fields and its value parsed
+    to a float; a malformed file raises CliConfigError naming the line."""
     rows = []
     for path in paths:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise CliConfigError(f"{path}:{line}: not UTF-8: {exc}") from None
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        try:
             if reader.fieldnames != CSV_HEADER:
                 raise CliConfigError(
                     f"{path}: unexpected CSV header {reader.fieldnames}")
-            rows.extend(reader)
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if None in row or None in row.values():
+                    raise CliConfigError(
+                        f"{where}: expected {len(CSV_HEADER)} fields")
+                try:
+                    value = float(row["value"])
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise CliConfigError(f"{where}: value {row['value']!r} "
+                                         "is not a finite number")
+                row["value"] = value
+                rows.append(row)
+        except csv.Error as exc:
+            # DictReader.line_num lags its reader's until a row is returned.
+            raise CliConfigError(
+                f"{path}:{reader.reader.line_num}: {exc}") from None
     return rows
 
 
-def _avg_by(rows, key_fields, value_field="value"):
+def _avg_by(rows, key_fields):
     groups: dict[tuple, list[float]] = {}
     for row in rows:
         key = tuple(row[f] for f in key_fields)
-        groups.setdefault(key, []).append(float(row[value_field]))
+        groups.setdefault(key, []).append(row["value"])
     return {k: sum(v) / len(v) for k, v in sorted(groups.items())}
 
 
@@ -451,9 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("FOGSCHED_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("FOGSCHED_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: FOGSCHED_LOG {level!r} is not a log level; expected "
+              "DEBUG, INFO, WARNING, ERROR or CRITICAL", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level.upper(),
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "run" and not args.out:

@@ -7,16 +7,23 @@ over levels) until completion. `_Usage` owns the one simulated clock and the
 held, peak and time-integrated cpu/mem/bw of fog and cloud. Fluctuation
 rescales effective capacities at fixed intervals, clamped so no active hold
 is revoked; a hold still above its capacity afterwards counts as revoked.
+
+A replication runs with the cyclic garbage collector paused: its apps,
+placements, envelopes and heap entries form no reference cycles, so
+reference counting frees each of them, and the collector's passes over the
+whole live workload would find nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import logging
 import math
 import random
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from .ordering import (DEFAULT_DELTA, ProcessQueue, Weights, order_tasks,
@@ -28,6 +35,8 @@ from .topology import CLOUD, FOG, FCI, EnvConfig, ResourceGraph, build_graph
 from .workload import Application, WorkloadConfig, generate_workload
 
 ALGORITHMS = ("herafc", "order-priority", "order-random", "cloud-first")
+# run_replication logs its progress at INFO every this many admitted apps.
+PROGRESS_EVERY = 1000
 
 log = logging.getLogger(__name__)
 
@@ -271,6 +280,20 @@ def _overdrawn(rm: ResourceMatrix) -> int:
                for key, held in held_amounts.items())
 
 
+@contextmanager
+def _gc_paused():
+    """Disable the cyclic garbage collector for the block and re-enable it
+    on exit, also on an exception; a collector already off stays off."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def run_replication(cfg: ExperimentConfig, seed: int,
                     conservation_check_every: int = 200) -> ReplicationReport:
     started = time.perf_counter()
@@ -380,6 +403,9 @@ def run_replication(cfg: ExperimentConfig, seed: int,
 
         if (k + 1) % conservation_check_every == 0:
             _check_conservation(live, usage.active)
+        if (k + 1) % PROGRESS_EVERY == 0:
+            log.info("replication seed %s: %d of %d apps admitted", seed,
+                     k + 1, app_count)
 
     while releases:
         advance(releases[0][0])

@@ -196,6 +196,21 @@ class TestRun:
         assert ((tmp_path / "info" / "metrics.csv").read_bytes()
                 == (tmp_path / "quiet" / "metrics.csv").read_bytes())
 
+    @pytest.mark.parametrize("level", ["bogus", ""])
+    def test_unknown_log_level_exits_2(self, level, configs, tmp_path):
+        # A subprocess: under pytest the root logger already has handlers,
+        # so basicConfig would not look at the level in-process.
+        src = str(Path(fogsched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fogsched.cli",
+             *run_args(configs, tmp_path / "o")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "FOGSCHED_LOG": level})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: FOGSCHED_LOG {level!r} ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_emit_objective(self, configs, tmp_path):
         out = tmp_path / "out"
         assert main(run_args(configs, out, "--emit-objective")) == 0
@@ -509,6 +524,24 @@ class TestPlotdata:
         bad.write_text("a,b,c\n1,2,3\n")
         assert main(["plotdata", "--input", str(bad), "--fig", "util-fog",
                      "--out", str(tmp_path / "fig")]) == 2
+
+    @pytest.mark.parametrize("row, message", [
+        (b"cpu_util,fog,,10,abc,1", "value 'abc' is not a finite number"),
+        (b"cpu_util,fog,,10,nan,1", "value 'nan' is not a finite number"),
+        (b"cpu_util,fog,,10", "expected 6 fields"),
+        (b"cpu_util,fog,,10,\xff\xfe,1", "not UTF-8"),
+        (b"cpu_util,fog,,10," + b"1" * 200_000 + b",1", "field limit"),
+    ], ids=["non-numeric", "nan", "short", "not-utf8", "huge-field"])
+    def test_malformed_row_exits_2(self, row, message, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(",".join(CSV_HEADER).encode() + b"\n"
+                        + b"cpu_util,fog,,10,1.5,1\n" + row + b"\n")
+        assert main(["plotdata", "--input", str(bad), "--fig", "util-fog",
+                     "--out", str(tmp_path / "fig")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:3: ")
+        assert message in err
+        assert "Traceback" not in err
 
     def test_no_matching_rows_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -1,6 +1,7 @@
 """Experiment runner: admission/release accounting, baselines, fluctuation."""
 
 import gc
+import logging
 import random
 
 import pytest
@@ -91,6 +92,7 @@ class TestRunExperiment:
         monkeypatch.setattr(ResourceMatrix, "release", drop_one)
         with pytest.raises(SimError, match="conservation violated") as info:
             run_replication(small_cfg(), seed=7, conservation_check_every=1)
+        assert gc.isenabled()  # the paused collector is back on
         (envelope,) = dropped
         assert any(f" on {key} {kind}: " in str(info.value)
                    for kind, amounts in zip(("cpu", "mem", "bw"),
@@ -134,6 +136,62 @@ class TestRunExperiment:
         before = applications()
         run_replication(cfg, seed=7)
         assert alive == [30 - k for k in range(30)]
+
+    @pytest.mark.parametrize("fluctuation", [None, (0.1, (0.3, 0.9))],
+                             ids=["steady", "fluctuating"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_replication_leaves_no_cyclic_garbage(self, algorithm,
+                                                  fluctuation, monkeypatch,
+                                                  caplog):
+        # run_replication pauses the cyclic collector, which is sound only
+        # while nothing a replication makes (progress logging included)
+        # forms a reference cycle: reference counting must free it all.
+        monkeypatch.setattr(simkit, "PROGRESS_EVERY", 10)
+        caplog.set_level(logging.INFO, logger="fogsched.simkit")
+        cfg = small_cfg(algorithm=algorithm, emit_objective=True,
+                        fluctuation=fluctuation and FluctuationConfig(
+                            *fluctuation))
+        gc.collect()
+        gc.disable()
+        try:
+            run_replication(cfg, seed=7)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert any("apps admitted" in r.getMessage() for r in caplog.records)
+
+    def test_collector_paused_for_the_whole_replication(self, monkeypatch):
+        seen = []
+
+        def recording(fn):
+            def wrapper(*args):
+                seen.append(gc.isenabled())
+                return fn(*args)
+            return wrapper
+
+        for name in ("generate_workload", "herafc_place"):
+            monkeypatch.setattr(simkit, name, recording(getattr(simkit, name)))
+        assert gc.isenabled()
+        run_replication(small_cfg(), seed=7)
+        assert gc.isenabled()
+        assert len(seen) == 1 + SMALL_WL["app_count"] and not any(seen)
+        gc.disable()  # a caller's disabled collector stays disabled
+        try:
+            run_replication(small_cfg(), seed=7)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_logs_progress_every_interval(self, monkeypatch, caplog):
+        monkeypatch.setattr(simkit, "PROGRESS_EVERY", 10)
+        caplog.set_level(logging.INFO, logger="fogsched.simkit")
+        cfg = small_cfg(workload=WorkloadConfig(**{**SMALL_WL,
+                                                   "app_count": 30}))
+        run_replication(cfg, seed=7)
+        progress = [r for r in caplog.records if "admitted" in r.msg]
+        assert [r.args for r in progress] == [(7, k, 30) for k in (10, 20, 30)]
+        assert [r.getMessage() for r in progress] == [
+            f"replication seed 7: {k} of 30 apps admitted" for k in (10, 20, 30)]
 
     def test_run_builds_no_fci_distance_maps(self, monkeypatch):
         graphs = []
