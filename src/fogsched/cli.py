@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import hashlib
 import io
@@ -24,7 +25,7 @@ from .oracle import OracleLimits, OracleSizeError, compare_with_heuristic, exhau
 from .placement import PlacementError, ResourceMatrix
 from .simkit import (ALGORITHMS, ExperimentConfig, FluctuationConfig,
                      MetricsReport, SimError, run_experiment)
-from .topology import EnvConfig, GraphConfigError, build_graph
+from .topology import EnvConfig, GraphConfigError, build_graph, ordered_sum
 from .workload import WorkloadConfig, WorkloadError, load_application
 
 EXIT_OK = 0
@@ -78,7 +79,7 @@ def _parse_weights(text: str) -> Weights:
         w = [float(p) for p in parts]
     except ValueError:
         raise CliConfigError(f"--weights values must be numbers: {text!r}") from None
-    total = sum(w)
+    total = ordered_sum(w)
     if abs(total - 1.0) > 1e-6:
         raise CliConfigError(f"--weights must sum to 1 (got {total})")
     w = [x / total for x in w]
@@ -94,22 +95,10 @@ def _load_json(path: str) -> dict:
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
-    doc = {
-        "env": {k: list(v) if isinstance(v, tuple) else v
-                for k, v in cfg.env.__dict__.items()},
-        "workload": {k: list(v) if isinstance(v, tuple) else v
-                     for k, v in cfg.workload.__dict__.items()},
-        "algorithm": cfg.algorithm,
-        "weights": dict(cfg.weights.__dict__),
-        "delta": cfg.delta,
-        "big_delta": cfg.big_delta,
-        "fluctuation": ({"interval_s": cfg.fluctuation.interval_s,
-                         "availability_range": list(cfg.fluctuation.availability_range)}
-                        if cfg.fluctuation else None),
-        "seed": cfg.seed,
-        "replications": cfg.replications,
-        "admission_interval_ms": cfg.admission_interval_ms,
-    }
+    """The manifest's config: every field but emit_objective, which picks
+    outputs and leaves the metrics as they are."""
+    doc = dataclasses.asdict(cfg)
+    del doc["emit_objective"]
     return doc
 
 
@@ -274,9 +263,6 @@ def cmd_oracle(args) -> int:
         else:
             raise CliConfigError("--env or --preset is required")
         app = load_application(_load_json(args.app))
-    except (CliConfigError, GraphConfigError, WorkloadError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"error reading input: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -354,15 +340,12 @@ def _avg_by(rows, key_fields):
     for row in rows:
         key = tuple(row[f] for f in key_fields)
         groups.setdefault(key, []).append(row["value"])
-    return {k: sum(v) / len(v) for k, v in sorted(groups.items())}
+    return {k: ordered_sum(v) / len(v) for k, v in sorted(groups.items())}
 
 
 def cmd_plotdata(args) -> int:
     try:
         rows = _read_metric_rows(args.input)
-    except CliConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"error reading input: {exc}", file=sys.stderr)
         return EXIT_IO

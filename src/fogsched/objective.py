@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .placement import Placement, ResourceMatrix
-from .topology import CLOUD, FOG, ResourceGraph
+from .topology import CLOUD, FOG, ResourceGraph, ordered_sum
 from .workload import Application
 
 DEFAULT_BIG_DELTA = 0.5
@@ -33,9 +33,9 @@ class ObjectiveBreakdown:
 
     @property
     def total(self) -> float:
-        return (sum(self.task_terms.values())
-                + sum(self.edge_latency_terms.values())
-                + sum(self.edge_bandwidth_terms.values()))
+        return (ordered_sum(self.task_terms.values())
+                + ordered_sum(self.edge_latency_terms.values())
+                + ordered_sum(self.edge_bandwidth_terms.values()))
 
     def to_dict(self) -> dict:
         def strkeys(d):

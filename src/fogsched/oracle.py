@@ -16,7 +16,8 @@ from .ordering import order_tasks, task_levels
 from .placement import (Placement, ResourceMatrix, edges_by_level,
                         herafc_place, map_level_edges, reset_rm)
 from .objective import DEFAULT_BIG_DELTA, eval_mfc
-from .topology import NoPath, NodeId, PhysicalPath, ResourceGraph, shortest_path
+from .topology import (NoPath, NodeId, PhysicalPath, ResourceGraph, ordered_sum,
+                       shortest_path)
 from .workload import Application
 
 
@@ -78,6 +79,8 @@ def map_assignment_edges(app: Application, graph: ResourceGraph,
 def exhaustive_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
                      limits: OracleLimits | None = None,
                      big_delta: float = DEFAULT_BIG_DELTA) -> OracleResult:
+    """The minimum-score placement over every task-to-location vector, in
+    itertools.product order; of scores within 1e-12, the first one wins."""
     limits = limits or OracleLimits()
     locations = graph.locations()
     if len(app.tasks) > limits.max_tasks:
@@ -89,128 +92,89 @@ def exhaustive_place(app: Application, graph: ResourceGraph, rm: ResourceMatrix,
     tasks = sorted(app.tasks, key=lambda t: t.id)
     task_ids = [t.id for t in tasks]
     levels = task_levels(app)
-    level_of = {t: k for k, level in enumerate(levels) for t in level}
+    # Each level's (vector index, task) pairs, in task-id order.
+    level_tasks = [[(i, t) for i, t in enumerate(tasks) if t.id in level]
+                   for level in levels]
 
     home = app.home_fn
     home_required = any(rm.fits(t, home) for t in tasks)
 
-    # If no link could ever be oversubscribed by the whole app's edges at
-    # once, paths are contention-free and can be precomputed per node pair.
-    total_demand = sum(e.bandwidth_demand for e in app.edges)
-    max_demand = max((e.bandwidth_demand for e in app.edges), default=0.0)
-    min_link_bw = min((rm.residual_bw(k) for k in rm.capacity.bw), default=math.inf)
-    contention_free = total_demand <= min_link_bw
-    path_table: dict = {}
-    if contention_free and app.edges:
-        for a in locations:
-            for b in locations:
-                path_table[(a, b)] = (
-                    graph.colocated_path(a) if a == b
-                    else shortest_path(graph, a, b, max_demand, rm))
+    residual_cpu = {n: rm.residual_cpu(n) for n in locations}
+    residual_mem = {n: rm.residual_mem(n) for n in locations}
+    # A task's score term depends on its location only; a location without
+    # residual CPU has none.
+    task_term = {n: (big_delta if n == home else 1.0) / residual
+                 for n, residual in residual_cpu.items() if residual > 0}
 
-    # Score tables: task term per (task, node) and edge term per node pair.
-    task_term: list[dict[NodeId, float]] = []
-    for t in tasks:
-        row = {}
-        for node in locations:
-            residual = rm.residual_cpu(node)
-            if residual > 0:
-                factor = big_delta if node == home else 1.0
-                row[node] = factor / residual
-        task_term.append(row)
-
-    def edge_score(path: PhysicalPath) -> float:
+    def edge_term(path: PhysicalPath) -> float:
         score = path.total_latency + path.hop_count
         for key in path.links:
             score += 1.0 / rm.residual_bw(key)
         return score
 
-    edge_term_table: dict = {}
-    if contention_free:
-        for pair, path in path_table.items():
-            if not isinstance(path, NoPath):
-                edge_term_table[pair] = edge_score(path)
+    # If no link could ever be oversubscribed by the whole app's edges at
+    # once, paths are contention-free: one route and term per location pair.
+    demands = [e.bandwidth_demand for e in app.edges]
+    min_link_bw = min((rm.residual_bw(k) for k in rm.capacity.bw), default=math.inf)
+    contention_free = ordered_sum(demands) <= min_link_bw
+    routes: dict = {}
+    if contention_free and demands:
+        max_demand = max(demands)
+        for a in locations:
+            for b in locations:
+                path = shortest_path(graph, a, b, max_demand, rm)
+                if not isinstance(path, NoPath):
+                    routes[a, b] = (path, edge_term(path))
 
-    residual_cpu = {n: rm.residual_cpu(n) for n in locations}
-    residual_mem = {n: rm.residual_mem(n) for n in locations}
-    depth = len(levels)
-
-    best_score = math.inf
-    best_assignment = None
-    best_paths = None
-    enumerated = 0
-    for vector in itertools.product(locations, repeat=len(tasks)):
-        enumerated += 1
-        assignment = dict(zip(task_ids, vector))
-        if home_required and home not in vector:
-            continue
-        # Per-level capacity: levels run sequentially, so demand sums bind
-        # within each level only.
-        feasible = True
-        for level_idx in range(depth):
+    def overcommits(vector) -> bool:
+        """Levels run one after another, so demands add up within a level."""
+        for pairs in level_tasks:
             used_cpu: dict = {}
             used_mem: dict = {}
-            for t, node in zip(tasks, vector):
-                if level_of[t.id] != level_idx:
-                    continue
+            for i, t in pairs:
+                node = vector[i]
                 used_cpu[node] = used_cpu.get(node, 0.0) + t.cpu_demand
                 used_mem[node] = used_mem.get(node, 0.0) + t.mem_demand
             for node, used in used_cpu.items():
                 if used > residual_cpu[node] or used_mem[node] > residual_mem[node]:
-                    feasible = False
-                    break
-            if not feasible:
-                break
-        if not feasible:
+                    return True
+        return False
+
+    best_score = math.inf
+    best = None
+    for vector in itertools.product(locations, repeat=len(tasks)):
+        if home_required and home not in vector or overcommits(vector):
             continue
-        score = 0.0
-        for row, node in zip(task_term, vector):
-            term = row.get(node)
-            if term is None:
-                feasible = False
-                break
-            score += term
-        if not feasible:
+        terms = [task_term.get(node) for node in vector]
+        if None in terms:
             continue
-        paths = None
+        assignment = dict(zip(task_ids, vector))
         if contention_free:
-            for edge in app.edges:
-                pair = (assignment[edge.src], assignment[edge.dst])
-                term = edge_term_table.get(pair)
-                if term is None:
-                    feasible = False
-                    break
-                score += term
+            hops = [routes.get((assignment[e.src], assignment[e.dst]))
+                    for e in app.edges]
+            if None in hops:
+                continue
+            paths = {(e.src, e.dst): path
+                     for e, (path, _) in zip(app.edges, hops)}
+            terms += [term for _, term in hops]
         else:
             paths = map_assignment_edges(app, graph, rm, assignment, levels)
             if paths is None:
-                feasible = False
-            else:
-                for path in paths.values():
-                    score += edge_score(path)
-        if not feasible:
-            continue
+                continue
+            terms += [edge_term(path) for path in paths.values()]
+        score = ordered_sum(terms)
         if score < best_score - 1e-12:
             best_score = score
-            best_assignment = assignment
-            best_paths = paths
+            best = assignment, paths
 
     total = len(locations) ** len(tasks)
-    assert enumerated == total
-    if best_assignment is None:
+    if best is None:
         return OracleResult(feasible=False, best_placement=None,
                             best_score=None, enumerated_count=total)
-    if best_paths is None:
-        best_paths = {}
-        for edge in app.edges:
-            src, dst = edge.src, edge.dst
-            best_paths[src, dst] = path_table[(best_assignment[src],
-                                               best_assignment[dst])]
+    assignment, paths = best
     placement = Placement(
-        app_id=app.id, home_fn=home,
-        task_locations=dict(best_assignment),
-        edge_paths=best_paths,
-        level_order=[sorted(level) for level in levels],
+        app_id=app.id, home_fn=home, task_locations=assignment,
+        edge_paths=paths, level_order=[sorted(level) for level in levels],
         home_pin_infeasible=not home_required,
     )
     return OracleResult(feasible=True, best_placement=placement,

@@ -31,7 +31,8 @@ from .ordering import (DEFAULT_DELTA, ProcessQueue, Weights, order_tasks,
 from .placement import (Envelope, Placement, ResourceMatrix, herafc_place,
                         place_levels)
 from .objective import DEFAULT_BIG_DELTA, check_constraints, eval_mfc
-from .topology import CLOUD, FOG, FCI, EnvConfig, ResourceGraph, build_graph
+from .topology import (CLOUD, FOG, FCI, EnvConfig, ResourceGraph, build_graph,
+                       ordered_sum)
 from .workload import Application, WorkloadConfig, generate_workload
 
 ALGORITHMS = ("herafc", "order-priority", "order-random", "cloud-first")
@@ -197,7 +198,7 @@ def _avg_dicts(dicts: list[dict]) -> dict:
     if not dicts:
         return {}
     keys = dicts[0].keys()
-    return {k: sum(d[k] for d in dicts) / len(dicts) for k in keys}
+    return {k: ordered_sum(d[k] for d in dicts) / len(dicts) for k in keys}
 
 
 _RESOURCES = ("cpu", "mem", "bw")
@@ -333,8 +334,7 @@ def run_replication(cfg: ExperimentConfig, seed: int,
 
     violation_counts: dict[str, int] = {}
     rejected_count = task_count = 0
-    # Per (priority, tier): sample count and sum, added in order from 0.0 as
-    # Python 3.11's sum() adds (3.12's sum() compensates, so would differ).
+    # Per (priority, tier): sample count and sum, added as ordered_sum adds.
     latency_n = {(p, tier): 0 for p in range(1, 6) for tier in (FOG, CLOUD)}
     latency_sum = dict.fromkeys(latency_n, 0.0)
     share_counts = {p: {FOG: 0, CLOUD: 0} for p in range(1, 6)}
@@ -371,18 +371,17 @@ def run_replication(cfg: ExperimentConfig, seed: int,
 
         if cfg.emit_objective and not placement.rejected and not placement.unmapped:
             breakdown = eval_mfc(placement, graph, live, big_delta=cfg.big_delta)
-            objective_totals["task_terms"] += sum(breakdown.task_terms.values())
-            objective_totals["edge_latency_terms"] += sum(
-                breakdown.edge_latency_terms.values())
-            objective_totals["edge_bandwidth_terms"] += sum(
-                breakdown.edge_bandwidth_terms.values())
+            for key in ("task_terms", "edge_latency_terms",
+                        "edge_bandwidth_terms"):
+                objective_totals[key] += ordered_sum(
+                    getattr(breakdown, key).values())
             objective_totals["total"] += breakdown.total
             objective_totals["apps_scored"] += 1
 
         live.hold(placement.envelope)
         usage.apply(placement.envelope, 1.0)
-        heapq.heappush(releases, (usage.now + sum(placement.level_durations),
-                                  k, placement.envelope))
+        completion = usage.now + ordered_sum(placement.level_durations)
+        heapq.heappush(releases, (completion, k, placement.envelope))
 
         # A located task's latency sample: its mapped outgoing edges' sum.
         outgoing: dict[str, float] = {}

@@ -91,6 +91,28 @@ def config_number(value, name: str, error: type[ValueError],
                 f", not {value!r}")
 
 
+def config_from_dict(cls, doc, error: type[ValueError], what: str):
+    """`cls(**doc)` for a config document that is a JSON object whose keys
+    are fields of `cls`; any other document raises `error`."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} config must be a JSON object, "
+                    f"not {type(doc).__name__}")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise error(f"unknown {what} config keys: {sorted(unknown)}")
+    return cls(**doc)
+
+
+def ordered_sum(values) -> float:
+    """The float sum of `values`, added left to right from 0.0 as sum() adds
+    before Python 3.12, whose compensated sum() can differ in the last bits.
+    Outputs stay byte-identical across Python versions only through this."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def config_range(value, name: str, error: type[ValueError],
                  integral: bool = False) -> tuple:
     """A [min, max] config pair of `config_number` fields, as a tuple."""
@@ -169,12 +191,8 @@ class EnvConfig:
                 f"{self.lat_fn_fci_ms[1]} must be < min backbone latency {backbone_min}")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "EnvConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise GraphConfigError(f"unknown environment config keys: {sorted(unknown)}")
-        return cls(**doc)
+    def from_dict(cls, doc) -> "EnvConfig":
+        return config_from_dict(cls, doc, GraphConfigError, "environment")
 
 
 @dataclass(frozen=True)

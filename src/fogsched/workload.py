@@ -12,7 +12,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .topology import FOG, NodeId, ResourceGraph, config_number, config_range
+from .topology import (FOG, NodeId, ResourceGraph, config_from_dict,
+                       config_number, config_range)
 
 
 class WorkloadError(ValueError):
@@ -96,12 +97,8 @@ class WorkloadConfig:
                 f"exceeds max_total_tasks {self.max_total_tasks}")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "WorkloadConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise WorkloadError(f"unknown workload config keys: {sorted(unknown)}")
-        return cls(**doc)
+    def from_dict(cls, doc) -> "WorkloadConfig":
+        return config_from_dict(cls, doc, WorkloadError, "workload")
 
 
 def generate_workload(cfg: WorkloadConfig, graph: ResourceGraph,

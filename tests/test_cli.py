@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, output files, CSV reshaping."""
 
+import builtins
 import contextlib
 import csv
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from fogsched import cli
 from fogsched.cli import (CSV_HEADER, config_hash, main, preset_config,
                           _parse_weights)
 from fogsched.placement import PlacementError, ResourceMatrix
+from fogsched.simkit import ExperimentConfig
 from fogsched.topology import EnvConfig, GraphConfigError
 from fogsched.workload import (WorkloadConfig, application_to_dict,
                                load_application)
@@ -136,6 +139,17 @@ class TestRun:
             metrics.append((tmp_path / name / "metrics.csv").read_bytes())
         assert metrics[0] == metrics[1]
 
+    @pytest.mark.parametrize("doc", ["env", "workload"])
+    @pytest.mark.parametrize("value", [5, None, ["fns"], "abc"])
+    def test_config_document_not_an_object(self, doc, value, configs,
+                                           tmp_path, capsys):
+        bad = write_json(tmp_path / "bad.json", value)
+        env, wl = (bad, configs[1]) if doc == "env" else (configs[0], bad)
+        assert main(["run", "--env", env, "--workload", wl,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config must be a JSON object" in err and "Traceback" not in err
+
     def test_unknown_config_key(self, configs, tmp_path):
         env = write_json(tmp_path / "bad.json", {**ENV_DOC, "nodes": 5})
         assert main(["run", "--env", env, "--workload", configs[1],
@@ -151,6 +165,27 @@ class TestRun:
         assert main(run_args(configs, a)) == 0
         assert main(run_args(configs, b)) == 0
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+    def test_outputs_independent_of_builtin_sum(self, configs, tmp_path,
+                                                monkeypatch):
+        # Python 3.12's sum() compensates its float additions, 3.11's does
+        # not: no float sum() may reach an output.
+        def compensated_sum(values, start=0):
+            values = list(values)
+            if any(type(v) is float for v in values):
+                return math.fsum([start, *values])
+            return real_sum(values, start)
+
+        real_sum = builtins.sum
+        extra = ("--replications", "2", "--emit-objective",
+                 "--fluctuate-interval", "0.1", "--fluctuate-range", "0.3,0.9")
+        assert main(run_args(configs, tmp_path / "a", *extra)) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "sum", compensated_sum)
+            assert main(run_args(configs, tmp_path / "b", *extra)) == 0
+        for name in ("metrics.csv", "objective.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
 
     def test_metrics_identical_across_hash_seeds(self, tmp_path):
         # Node ids hash strings, so set order differs between the two
@@ -259,6 +294,9 @@ RUN_FLOAT_FLAGS = ("--scale", "--delta", "--big-delta", "--fluctuate-interval",
 _JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
                   st.lists(st.integers(-3, 3), max_size=3),
                   st.integers(-10**6, -1), st.just(10**400))
+# A whole config document that is valid JSON but not an object.
+_NOT_AN_OBJECT = st.one_of(st.integers(-3, 3), st.none(), st.text(max_size=3),
+                           st.lists(st.text(max_size=3), max_size=3))
 _FLAG_VALUES = {
     "--scale": ["0.5", "0", "-2", "1e308", "nan", "x"],
     "--seed": ["-7", str(2**70), "1.5", "x"],
@@ -270,15 +308,20 @@ _VALID_FLAGS = {"--scale": "1", "--seed": "0", "--fluctuate-range": "0.5,1"}
 @st.composite
 def _one_change(draw):
     """The tiny valid run with one change: a config document field dropped
-    or given a junk value, or one flag given an odd value."""
+    or given a junk value, a whole config document that is not an object,
+    or one flag given an odd value."""
     env, wl, flags = dict(ENV_DOC), dict(WL_DOC), dict(_VALID_FLAGS)
     target = draw(st.sampled_from(["env", "workload", *flags]))
     if target in flags:
         flags[target] = draw(st.sampled_from(_FLAG_VALUES[target]))
         return env, wl, flags
+    change = draw(st.sampled_from(["drop", "junk", "replace"]))
+    if change == "replace":
+        whole = draw(_NOT_AN_OBJECT)
+        return (whole, wl, flags) if target == "env" else (env, whole, flags)
     doc, cls = (env, EnvConfig) if target == "env" else (wl, WorkloadConfig)
     name = draw(st.sampled_from(sorted(set(doc) | set(cls.__dataclass_fields__))))
-    if draw(st.booleans()):
+    if change == "drop":
         doc.pop(name, None)
     else:
         doc[name] = draw(_JUNK)
@@ -565,6 +608,14 @@ class TestHelpers:
 
     def test_config_hash_value_sensitive(self):
         assert config_hash({"a": 1}) != config_hash({"a": 2})
+
+    def test_default_config_hash_pinned(self):
+        # A manifest's config_hash names its run: the default large-default
+        # run must keep the hash it has always had.
+        env, wl = preset_config("large-default")
+        doc = cli._config_dict(ExperimentConfig(env=env, workload=wl))
+        assert config_hash(doc) == ("8294d5aa1ef8cb4b60b0a63f607e4f3e"
+                                    "bb52e8a8953c904b73d157473039573e")
 
     def test_parse_weights(self):
         w = _parse_weights("0.5,0.3,0.2")

@@ -1,5 +1,8 @@
 """Exhaustive small-instance optimizer vs the greedy heuristic."""
 
+import hashlib
+import json
+
 import pytest
 
 from fogsched import oracle
@@ -186,23 +189,50 @@ class TestContendedEdgeMapping:
         assert outcomes == {"unmapped", "routed"}
 
 
+def criterion5_instance(seed):
+    """Acceptance criterion 5's instance `seed`: app, graph and matrix."""
+    env = EnvConfig(fns=4, fcis=2, cpu=(4, 8), mem_mb=(1000, 2000),
+                    fci_link_probability=0.5)
+    graph = build_graph(env, seed)
+    cfg = WorkloadConfig(app_count=1, tasks_per_app=(2, 6), cpu=(1, 3),
+                         mem_mb=(100, 500), makespan_ms=(500, 1000),
+                         link_probability=0.3,
+                         edge_bandwidth_mbps=(5, 20), max_total_tasks=10)
+    (app,) = generate_workload(cfg, graph, f"{seed}:wl")
+    return app, graph, ResourceMatrix.from_graph(graph)
+
+
 def test_agreement_on_generated_instances():
     agreements = 0
     gaps = []
     for seed in range(1, 31):
-        env = EnvConfig(fns=4, fcis=2, cpu=(4, 8), mem_mb=(1000, 2000),
-                        fci_link_probability=0.5)
-        graph = build_graph(env, seed)
-        cfg = WorkloadConfig(app_count=1, tasks_per_app=(2, 6), cpu=(1, 3),
-                             mem_mb=(100, 500), makespan_ms=(500, 1000),
-                             link_probability=0.3,
-                             edge_bandwidth_mbps=(5, 20), max_total_tasks=10)
-        (app,) = generate_workload(cfg, graph, f"{seed}:wl")
-        rm = ResourceMatrix.from_graph(graph)
-        got = compare_with_heuristic(app, graph, rm)
+        got = compare_with_heuristic(*criterion5_instance(seed))
         if got.feasible == got.heuristic_feasible:
             agreements += 1
         if got.heuristic_gap is not None:
             gaps.append(got.heuristic_gap)
     assert agreements == 30
     assert all(g >= 1.0 - 1e-9 for g in gaps)
+
+
+def test_outcomes_pinned():
+    """Scores, assignments and counts on criterion-5 instances 1-40 and on a
+    contended instance, hashed; any change to the search's arithmetic or
+    tie-break changes the hash."""
+    instances = [(seed, *criterion5_instance(seed)) for seed in range(1, 41)]
+    graph, app, rm = TestContendedEdgeMapping().instance()
+    instances.append(("contended", app, graph, rm))
+    records = []
+    for label, app, graph, rm in instances:
+        got = exhaustive_place(app, graph, rm)
+        best = got.best_placement
+        assignment = (None if best is None else
+                      sorted((t, str(n)) for t, n in best.task_locations.items()))
+        records.append([label, got.feasible, repr(got.best_score), assignment,
+                        got.enumerated_count])
+    digest = hashlib.sha256(
+        json.dumps(records, separators=(",", ":")).encode()).hexdigest()
+    # Recorded from the product-loop search; a search that replaces it must
+    # reproduce these bytes.
+    assert digest == ("9c1100923cbb2792543aa27185f71078"
+                      "a0f400ca67949439c7344f66039534c3")
